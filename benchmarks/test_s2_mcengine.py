@@ -8,9 +8,9 @@ service → CPU → DRAM stack from :mod:`repro.workloads.mcbench` at
 
 * the vectorized engine is at least **5x** faster than the serial
   per-sample evaluator on the same stack, and
-* serial, vectorized and every sharded run produce **bitwise-identical**
-  draws at a fixed seed (the replay contract that makes the speedup
-  free of semantic risk).
+* serial and vectorized runs produce **bitwise-identical** draws at a
+  fixed seed (the replay contract that makes the speedup free of
+  semantic risk).
 
 Headline numbers are checked against the recorded baseline in
 ``benchmarks/baselines/s2_mcengine.json`` so CI catches silent changes
@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.mcengine import ParallelEngine
 from repro.workloads.mcbench import BENCH_SAMPLES, BENCH_SEED, \
     run_engine_bench
 
@@ -39,11 +38,9 @@ def test_s2_vector_speedup_and_replay(run_once):
     def experiment():
         serial = run_engine_bench("serial")
         vector = run_engine_bench("vector")
-        shards = {k: run_engine_bench(ParallelEngine(shards=k))
-                  for k in (2, 4, 8)}
-        return serial, vector, shards
+        return serial, vector
 
-    serial, vector, shards = run_once(experiment)
+    serial, vector = run_once(experiment)
     speedup = serial["seconds"] / vector["seconds"]
     print(f"serial {serial['seconds'] * 1e3:.1f} ms, "
           f"vector {vector['seconds'] * 1e3:.1f} ms -> {speedup:.1f}x")
@@ -51,10 +48,8 @@ def test_s2_vector_speedup_and_replay(run_once):
     assert speedup >= 5.0, (
         f"vector engine only {speedup:.1f}x faster than serial at "
         f"n_samples={BENCH_SAMPLES}")
-    assert np.array_equal(serial["draws"], vector["draws"])
-    for k, sharded in shards.items():
-        assert np.array_equal(serial["draws"], sharded["draws"]), (
-            f"{k}-shard run diverged from serial at seed {BENCH_SEED}")
+    assert np.array_equal(serial["draws"], vector["draws"]), (
+        f"vector run diverged from serial at seed {BENCH_SEED}")
 
     baseline = json.loads(_BASELINE.read_text())
     assert serial["n_samples"] == baseline["n_samples"]

@@ -1,10 +1,7 @@
 """The unified Calibrator API: one entry point for every calibration.
 
-Historically each call site wired the microbenchmark recipe by hand —
-``calibrate_gpu(gpu, NVMLSim(gpu, seed=...))`` imported inline wherever
-a calibrated model was needed.  This module replaces that ad-hoc shape
-with the same three-piece seam :mod:`repro.core.predict` uses for
-prediction backends:
+Calibration goes through the same three-piece seam
+:mod:`repro.core.predict` uses for prediction backends:
 
 * a :class:`Calibrator` protocol (strategy for producing a
   :class:`~repro.measurement.calibration.CalibratedModel` from a device),
@@ -72,10 +69,10 @@ class MicrobenchCalibrator(Calibrator):
     """The full §5 microbenchmark recipe, behind the protocol.
 
     Idle window for static power, empty-kernel sweep for launch
-    overhead, then the weighted non-negative least-squares suite fit —
-    exactly the historical ``calibrate_gpu`` body.  Runs on the machine
-    clock and reads the device through its NVML channel, so calibration
-    error is honest (sensor gain, noise, hidden row-activation costs).
+    overhead, then the weighted non-negative least-squares suite fit.
+    Runs on the machine clock and reads the device through its NVML
+    channel, so calibration error is honest (sensor gain, noise, hidden
+    row-activation costs).
     """
 
     name = "microbench"

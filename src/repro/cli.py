@@ -11,9 +11,9 @@
 * ``calibrate``   — show a GPU profile's calibrated hardware interface;
 * ``serve``       — the energy-aware gateway: admission control against
   an energy budget (``--budget "3J+0.25W"``) on a Poisson stream;
-* ``bench``       — time the Monte Carlo evaluation engines (serial,
-  vectorized, multi-process) on a composed stack and check that they
-  produce bitwise-identical draws at a fixed seed;
+* ``bench``       — time the Monte Carlo evaluation engines (serial and
+  vectorized) on a composed stack and check that they produce
+  bitwise-identical draws at a fixed seed;
 * ``trace``       — evaluate Fig. 1's service through an
   :class:`~repro.core.session.EvalSession`, print the cross-layer span
   tree and write a Chrome-trace JSON (open in ``chrome://tracing``);
@@ -38,11 +38,15 @@
   its unit energies drift under a seeded plan, and compare a frozen
   calibration against online streaming recalibration.
 
-``lint``, ``regress``, ``trace``, ``chaos``, ``fleet`` and ``drift``
-share an exit-code convention: **0** clean, **1** findings (energy bugs
-or regressions, divergence beyond ``--max-error``, goodput below
-``--min-goodput``, a fleet budget violation, or a stale calibration),
-**2** usage or configuration error.
+Every command exits **2** on a usage or configuration error: ``main``
+catches the typed :class:`~repro.core.errors.ReproError` a handler (or
+the library under it) raises and prints one ``repro-energy <command>:
+<message>`` line.  ``lint``, ``regress``, ``trace``, ``chaos``,
+``fleet``, ``drift``, ``compile`` and ``bench`` also exit **1** on
+findings (energy bugs or regressions, divergence beyond
+``--max-error``, goodput below ``--min-goodput``, a fleet budget
+violation, a stale calibration, a sampled fallback, or engines that
+disagree) and **0** when clean.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import sys
 
 import numpy as np
 
+from repro.core.errors import ReproError
 from repro.core.report import format_table
 
 __all__ = ["main"]
@@ -59,6 +64,7 @@ __all__ = ["main"]
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.calibration import calibrate
+    from repro.core.errors import MeasurementError
     from repro.hardware.profiles import SIM3070, SIM4090, \
         build_gpu_workstation
     from repro.llm.config import GPT2_SMALL
@@ -66,6 +72,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.llm.runtime import GPT2Runtime
     from repro.measurement.nvml import NVMLSim
 
+    if args.trials < 1:
+        raise MeasurementError("--trials must be >= 1")
     rows = []
     for spec in (SIM4090, SIM3070):
         machine = build_gpu_workstation(spec)
@@ -98,9 +106,12 @@ def _cmd_mlservice(args: argparse.Namespace) -> int:
     from repro.apps.mlservice import MLWebService, build_service_machine, \
         build_service_stack
     from repro.calibration import calibrate
+    from repro.core.errors import EvaluationError
     from repro.core.interface import evaluate
     from repro.workloads.traces import image_request_trace
 
+    if args.requests < 1:
+        raise EvaluationError("--requests must be positive")
     machine = build_service_machine()
     service = MLWebService(machine)
     model = calibrate(machine, source="gpu0", seed=args.seed).model
@@ -203,19 +214,17 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _serving_setup(args: argparse.Namespace) -> tuple:
+    """The adapter, node budget and request trace ``serve`` and ``chaos`` share.
+
+    Returns ``(adapter, budget, arrivals, rng_factory)``: a Poisson
+    stream of the app's requests at ``--rate`` over ``--horizon``
+    simulated seconds, against a node budget parsed from ``--budget``.
+    """
     from repro.core.errors import ServingError
     from repro.serving import (
-        EnergyAwareGateway,
         EnergyBudget,
-        GatewayConfig,
-        HardBudgetPolicy,
-        ProbabilisticPolicy,
-        QuantileBudgetPolicy,
-        SLOAwarePolicy,
-        attribution_report,
         build_adapter,
-        format_report,
         parse_budget_spec,
         zip_arrivals,
     )
@@ -227,29 +236,47 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         repeated_image_trace,
     )
 
-    try:
-        spec = parse_budget_spec(args.budget)
-    except ServingError as exc:
-        print(f"repro-energy serve: {exc}", file=sys.stderr)
-        return 2
-    if args.slo is not None and args.slo <= 0:
-        print("repro-energy serve: --slo must be positive", file=sys.stderr)
-        return 2
     if args.rate <= 0:
-        print("repro-energy serve: --rate must be positive", file=sys.stderr)
-        return 2
+        raise ServingError("--rate must be positive")
     if args.horizon <= 0:
-        print("repro-energy serve: --horizon must be positive", file=sys.stderr)
-        return 2
-
-    rng_factory = RngFactory(args.seed)
-    try:
-        adapter = build_adapter(args.app, seed=args.seed)
-    except ServingError as exc:
-        print(f"repro-energy serve: {exc}", file=sys.stderr)
-        return 2
+        raise ServingError("--horizon must be positive")
+    spec = parse_budget_spec(args.budget)
+    adapter = build_adapter(args.app, seed=args.seed)
     budget = EnergyBudget("node", capacity_joules=spec.capacity_joules,
                           refill_watts=spec.refill_watts)
+    rng_factory = RngFactory(args.seed)
+    times = poisson_arrivals(args.rate, args.horizon, rng_factory)
+    trace_rng = rng_factory.stream("trace")
+    if args.app == "mlservice":
+        requests = repeated_image_trace(len(times), trace_rng)
+    elif args.app == "kvstore":
+        requests = kv_request_trace(len(times), trace_rng, put_fraction=0.7)
+    else:
+        requests = generation_trace(len(times), trace_rng)
+    return adapter, budget, zip_arrivals(times, requests), rng_factory
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.core.errors import ServingError
+    from repro.core.policy import Policy
+    from repro.serving import (
+        EnergyAwareGateway,
+        GatewayConfig,
+        HardBudgetPolicy,
+        ProbabilisticPolicy,
+        QuantileBudgetPolicy,
+        SLOAwarePolicy,
+        attribution_report,
+        format_report,
+    )
+
+    if args.slo is not None and args.slo <= 0:
+        raise ServingError("--slo must be positive")
+    quantile = args.quantile if args.policy == "quantile" else None
+    config = GatewayConfig(max_queue=args.queue,
+                           policy=Policy(mc_engine=args.engine,
+                                         admission_quantile=quantile))
+    adapter, budget, arrivals, rng_factory = _serving_setup(args)
     if args.policy == "hard":
         policy = HardBudgetPolicy()
     elif args.policy == "prob":
@@ -259,24 +286,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         policy = SLOAwarePolicy(args.slo if args.slo is not None else 0.5)
 
-    times = poisson_arrivals(args.rate, args.horizon, rng_factory)
-    trace_rng = rng_factory.stream("trace")
-    if args.app == "mlservice":
-        requests = repeated_image_trace(len(times), trace_rng)
-    elif args.app == "kvstore":
-        requests = kv_request_trace(len(times), trace_rng, put_fraction=0.7)
-    else:
-        requests = generation_trace(len(times), trace_rng)
-
-    quantile = args.quantile if args.policy == "quantile" else None
-    from repro.core.policy import Policy
-    gateway = EnergyAwareGateway(
-        adapter, budget, policy,
-        config=GatewayConfig(max_queue=args.queue,
-                             policy=Policy(mc_engine=args.engine,
-                                           admission_quantile=quantile)))
-    report = gateway.serve(zip_arrivals(times, requests),
-                           horizon=args.horizon)
+    gateway = EnergyAwareGateway(adapter, budget, policy, config=config)
+    report = gateway.serve(arrivals, horizon=args.horizon)
     print(format_report(report, title=f"serving report ({args.app}, "
                                       f"{policy.name})"))
     if args.attribution:
@@ -296,67 +307,29 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan
     from repro.serving import (
         EnergyAwareGateway,
-        EnergyBudget,
         GatewayConfig,
         QuantileBudgetPolicy,
-        build_adapter,
         format_report,
-        parse_budget_spec,
-        zip_arrivals,
-    )
-    from repro.sim.rng import RngFactory
-    from repro.workloads import (
-        generation_trace,
-        kv_request_trace,
-        poisson_arrivals,
-        repeated_image_trace,
     )
 
     if not 0.0 <= args.fault_rate < 1.0:
-        print("repro-energy chaos: --fault-rate must be in [0, 1)",
-              file=sys.stderr)
-        return 2
+        raise ServingError("--fault-rate must be in [0, 1)")
     if not 0.0 <= args.min_goodput <= 1.0:
-        print("repro-energy chaos: --min-goodput must be in [0, 1]",
-              file=sys.stderr)
-        return 2
-    if args.rate <= 0 or args.horizon <= 0:
-        print("repro-energy chaos: --rate and --horizon must be positive",
-              file=sys.stderr)
-        return 2
-    try:
-        spec = parse_budget_spec(args.budget)
-        adapter = build_adapter(args.app, seed=args.seed)
-    except ServingError as exc:
-        print(f"repro-energy chaos: {exc}", file=sys.stderr)
-        return 2
-
-    rng_factory = RngFactory(args.seed)
-    budget = EnergyBudget("node", capacity_joules=spec.capacity_joules,
-                          refill_watts=spec.refill_watts)
+        raise ServingError("--min-goodput must be in [0, 1]")
     policy = Policy(
         mc_engine=args.engine,
         retry=RetryPolicy(max_attempts=args.retries),
         deadline=DeadlinePolicy(timeout_s=args.deadline),
         degrade=DegradePolicy(),
     )
-    gateway = EnergyAwareGateway(
-        adapter, budget, QuantileBudgetPolicy(),
-        config=GatewayConfig(max_queue=args.queue, policy=policy))
-    plan = FaultPlan.uniform(args.fault_rate, entropy=args.seed)
-    gateway.inject_faults(plan)
+    config = GatewayConfig(max_queue=args.queue, policy=policy)
+    adapter, budget, arrivals, _ = _serving_setup(args)
+    gateway = EnergyAwareGateway(adapter, budget, QuantileBudgetPolicy(),
+                                 config=config)
+    gateway.inject_faults(FaultPlan.uniform(args.fault_rate,
+                                            entropy=args.seed))
 
-    times = poisson_arrivals(args.rate, args.horizon, rng_factory)
-    trace_rng = rng_factory.stream("trace")
-    if args.app == "mlservice":
-        requests = repeated_image_trace(len(times), trace_rng)
-    elif args.app == "kvstore":
-        requests = kv_request_trace(len(times), trace_rng, put_fraction=0.7)
-    else:
-        requests = generation_trace(len(times), trace_rng)
-
-    report = gateway.serve(zip_arrivals(times, requests),
-                           horizon=args.horizon)
+    report = gateway.serve(arrivals, horizon=args.horizon)
     print(format_report(
         report, title=f"chaos report ({args.app}, "
                       f"{100 * args.fault_rate:.0f}% fault plan, "
@@ -372,7 +345,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.errors import BudgetError, ServingError
+    from repro.core.errors import ServingError
     from repro.core.policy import Policy
     from repro.faults import FaultPlan, FaultSpec
     from repro.fleet import EnergyGatewayFleet, format_fleet_report
@@ -387,23 +360,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
 
     if args.replicas < 1:
-        print("repro-energy fleet: --replicas must be >= 1", file=sys.stderr)
-        return 2
+        raise ServingError("--replicas must be >= 1")
     if args.tenants < 1:
-        print("repro-energy fleet: --tenants must be >= 1", file=sys.stderr)
-        return 2
+        raise ServingError("--tenants must be >= 1")
     if args.rate <= 0 or args.horizon <= 0:
-        print("repro-energy fleet: --rate and --horizon must be positive",
-              file=sys.stderr)
-        return 2
+        raise ServingError("--rate and --horizon must be positive")
     if not 0.0 <= args.fault_rate < 1.0:
-        print("repro-energy fleet: --fault-rate must be in [0, 1)",
-              file=sys.stderr)
-        return 2
+        raise ServingError("--fault-rate must be in [0, 1)")
     if not 0.0 <= args.min_goodput <= 1.0:
-        print("repro-energy fleet: --min-goodput must be in [0, 1]",
-              file=sys.stderr)
-        return 2
+        raise ServingError("--min-goodput must be in [0, 1]")
 
     rng = RngFactory(args.seed)
     if args.workload == "poisson":
@@ -420,16 +385,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     tenants = zipf_tenant_trace(len(times), args.tenants, rng)
     requests = fleet_request_trace(times, tenants, rng)
 
-    try:
-        budgets = {f"tenant{i}": parse_budget_spec(args.budget)
-                   for i in range(args.tenants)}
-        policy = Policy(replicas=args.replicas, balancer=args.balancer,
-                        lease_ttl_s=args.lease_ttl)
-        fleet = EnergyGatewayFleet(budgets, policy=policy,
-                                   entropy=args.seed)
-    except (BudgetError, ServingError) as exc:
-        print(f"repro-energy fleet: {exc}", file=sys.stderr)
-        return 2
+    budgets = {f"tenant{i}": parse_budget_spec(args.budget)
+               for i in range(args.tenants)}
+    policy = Policy(replicas=args.replicas, balancer=args.balancer,
+                    lease_ttl_s=args.lease_ttl)
+    fleet = EnergyGatewayFleet(budgets, policy=policy, entropy=args.seed)
     if args.fault_rate > 0:
         fleet.inject_faults(FaultPlan(
             (FaultSpec("fleet.replica", args.fault_rate),
@@ -463,22 +423,15 @@ def _cmd_drift(args: argparse.Namespace) -> int:
     from repro.hardware.profiles import SIM3070, SIM4090
 
     if args.windows < 1:
-        print("repro-energy drift: --windows must be >= 1", file=sys.stderr)
-        return 2
+        raise MeasurementError("--windows must be >= 1")
     if args.tolerance <= 0:
-        print("repro-energy drift: --tolerance must be positive",
-              file=sys.stderr)
-        return 2
+        raise MeasurementError("--tolerance must be positive")
 
     spec = {"sim4090": SIM4090, "sim3070": SIM3070}[args.gpu]
-    try:
-        report = run_drift_scenario(
-            spec, windows=args.windows, preset=args.preset,
-            seed=args.seed, tolerance=args.tolerance,
-            recalibrate=not args.freeze)
-    except MeasurementError as exc:
-        print(f"repro-energy drift: {exc}", file=sys.stderr)
-        return 2
+    report = run_drift_scenario(
+        spec, windows=args.windows, preset=args.preset,
+        seed=args.seed, tolerance=args.tolerance,
+        recalibrate=not args.freeze)
     print(format_drift_report(report))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -497,17 +450,14 @@ def _cmd_drift(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import numpy as _np
-
+    from repro.core.errors import EvaluationError
     from repro.workloads.mcbench import run_engine_bench
 
     if args.samples <= 0:
-        print("repro-energy bench: --samples must be positive",
-              file=sys.stderr)
-        return 2
+        raise EvaluationError("--samples must be positive")
 
     engines = ([args.engine] if args.engine != "all"
-               else ["serial", "vector", "parallel"])
+               else ["serial", "vector"])
     results = [run_engine_bench(name, n_samples=args.samples,
                                 seed=args.seed) for name in engines]
 
@@ -516,7 +466,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for result in results:
         speedup = baseline["seconds"] / result["seconds"] \
             if result["seconds"] else float("inf")
-        identical = _np.array_equal(baseline["draws"], result["draws"])
+        identical = np.array_equal(baseline["draws"], result["draws"])
         rows.append([
             result["engine"],
             f"{result['seconds'] * 1e3:.1f} ms",
@@ -609,15 +559,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.compile import CompileCache, CompiledInterface
+    from repro.core.errors import EvaluationError
 
     builders = _compile_targets()
     names = args.targets or sorted(builders)
     unknown = [name for name in names if name not in builders]
     if unknown:
-        print(f"repro-energy compile: unknown target(s) "
-              f"{', '.join(sorted(unknown))} "
-              f"(known: {', '.join(sorted(builders))})", file=sys.stderr)
-        return 2
+        raise EvaluationError(
+            f"unknown target(s) {', '.join(sorted(unknown))} "
+            f"(known: {', '.join(sorted(builders))})")
 
     cache = CompileCache()
     rows: list[dict] = []
@@ -678,18 +628,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         to_json,
         to_sarif,
     )
-    from repro.core.errors import LintError
 
     select = _rule_ids(args.select)
     ignore = _rule_ids(args.ignore)
-    if _reject_unknown_rules("repro-energy lint", select, ignore):
-        return 2
-
-    try:
-        findings, checked = lint_paths(args.targets)
-    except LintError as exc:
-        print(f"repro-energy lint: {exc}", file=sys.stderr)
-        return 2
+    _reject_unknown_rules(select, ignore)
+    findings, checked = lint_paths(args.targets)
 
     if select:
         findings = [f for f in findings if f.rule in set(select)]
@@ -735,24 +678,21 @@ def _rule_ids(values: list[str] | None) -> list[str]:
     return ids
 
 
-def _reject_unknown_rules(tool: str, select: list[str],
-                          ignore: list[str]) -> bool:
-    """Usage-error (True) on rule IDs outside the shared EB registry.
+def _reject_unknown_rules(select: list[str], ignore: list[str]) -> None:
+    """Raise :class:`LintError` on rule IDs outside the shared EB registry.
 
     Both ``lint`` (EB1xx) and ``regress`` (EB2xx) draw from the same
     :data:`repro.analysis.lint.RULES` vocabulary, so the error lists
     every valid code.
     """
     from repro.analysis.lint import RULES
+    from repro.core.errors import LintError
 
     for option, rule_ids in (("--select", select), ("--ignore", ignore)):
         for rule_id in rule_ids:
             if rule_id not in RULES:
-                print(f"{tool}: unknown rule {rule_id!r} for {option} "
-                      f"(known: {', '.join(sorted(RULES))})",
-                      file=sys.stderr)
-                return True
-    return False
+                raise LintError(f"unknown rule {rule_id!r} for {option} "
+                                f"(known: {', '.join(sorted(RULES))})")
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
@@ -768,25 +708,18 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         diff_fingerprints,
         render_regress_text,
     )
-    from repro.core.errors import LintError, RegressError
+    from repro.core.errors import RegressError
 
     select = _rule_ids(args.select)
     ignore = _rule_ids(args.ignore)
-    if _reject_unknown_rules("repro-energy regress", select, ignore):
-        return 2
+    _reject_unknown_rules(select, ignore)
     if args.tolerance < 0:
-        print("repro-energy regress: --tolerance must be >= 0",
-              file=sys.stderr)
-        return 2
+        raise RegressError("--tolerance must be >= 0")
 
     if args.bisect:
-        try:
-            result = bisect_range(Path.cwd(), args.bisect, args.targets,
-                                  tolerance=args.tolerance,
-                                  select=select, ignore=ignore, log=print)
-        except RegressError as exc:
-            print(f"repro-energy regress: {exc}", file=sys.stderr)
-            return 2
+        result = bisect_range(Path.cwd(), args.bisect, args.targets,
+                              tolerance=args.tolerance,
+                              select=select, ignore=ignore, log=print)
         if result.ok:
             print(f"range {args.bisect} is clean "
                   f"({len(result.steps)} probe(s))")
@@ -798,11 +731,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
                                        for f in result.findings})))
         return 1
 
-    try:
-        current = fingerprint_paths(args.targets)
-    except LintError as exc:
-        print(f"repro-energy regress: {exc}", file=sys.stderr)
-        return 2
+    current = fingerprint_paths(args.targets)
 
     if args.write_baseline:
         current.write(args.baseline)
@@ -810,13 +739,8 @@ def _cmd_regress(args: argparse.Namespace) -> int:
               f"interface(s) written to {args.baseline}")
         return 0
 
-    try:
-        baseline = load_fingerprints(args.baseline)
-        findings = diff_fingerprints(baseline, current,
-                                     tolerance=args.tolerance)
-    except RegressError as exc:
-        print(f"repro-energy regress: {exc}", file=sys.stderr)
-        return 2
+    baseline = load_fingerprints(args.baseline)
+    findings = diff_fingerprints(baseline, current, tolerance=args.tolerance)
 
     if select:
         findings = [f for f in findings if f.rule in set(select)]
@@ -843,14 +767,12 @@ def _cmd_regress(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
+    from repro.core.errors import EvaluationError
+
     if args.requests <= 0:
-        print("repro-energy trace: --requests must be positive",
-              file=sys.stderr)
-        return 2
+        raise EvaluationError("--requests must be positive")
     if args.max_error is not None and args.max_error <= 0:
-        print("repro-energy trace: --max-error must be positive",
-              file=sys.stderr)
-        return 2
+        raise EvaluationError("--max-error must be positive")
 
     from repro.apps.mlservice import MLWebService, build_service_machine, \
         build_service_stack
@@ -942,9 +864,13 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-energy",
         description="Experiments from 'The Case for Energy Clarity' "
                     "(HotOS 2025), reproduced on simulated hardware.",
-        epilog="exit codes (lint, regress, trace): 0 = clean, "
-               "1 = findings (energy bugs, regressions, or divergence "
-               "beyond --max-error), 2 = usage or configuration error.")
+        epilog="exit codes: 0 = clean; 1 = findings (lint, regress, "
+               "trace, chaos, fleet, drift, compile and bench: energy "
+               "bugs, regressions, divergence beyond --max-error, goodput "
+               "below --min-goodput, a fleet budget violation, a stale "
+               "calibration, a sampled fallback, or engines that "
+               "disagree); 2 = usage or configuration error (every "
+               "command).")
     parser.add_argument("--seed", type=int, default=7)
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -994,8 +920,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="queue bound before shedding")
     serve.add_argument("--slo", type=float, default=None,
                        help="latency SLO in seconds (slo policy)")
-    serve.add_argument("--engine",
-                       choices=("serial", "vector", "parallel"),
+    serve.add_argument("--engine", choices=("serial", "vector"),
                        default="vector",
                        help="Monte Carlo engine for admission predictions")
     serve.add_argument("--quantile", type=float, default=0.95,
@@ -1030,8 +955,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="simulated seconds of traffic")
     chaos.add_argument("--queue", type=int, default=64,
                        help="queue bound before shedding")
-    chaos.add_argument("--engine",
-                       choices=("serial", "vector", "parallel"),
+    chaos.add_argument("--engine", choices=("serial", "vector"),
                        default="vector",
                        help="Monte Carlo engine for admission predictions")
     chaos.add_argument("--fault-rate", type=float, default=0.05,
@@ -1106,10 +1030,9 @@ def main(argv: list[str] | None = None) -> int:
         "bench", help="compare the Monte Carlo evaluation engines",
         epilog="exit codes: 0 = clean, 1 = engines disagree at a fixed "
                "seed, 2 = usage error.")
-    bench.add_argument("--engine",
-                       choices=("serial", "vector", "parallel", "all"),
+    bench.add_argument("--engine", choices=("serial", "vector", "all"),
                        default="all",
-                       help="which engine to time (default: all three)")
+                       help="which engine to time (default: both)")
     bench.add_argument("--samples", type=int, default=20000,
                        help="Monte Carlo samples per evaluation")
     bench.set_defaults(handler=_cmd_bench)
@@ -1189,7 +1112,11 @@ def main(argv: list[str] | None = None) -> int:
     regress.set_defaults(handler=_cmd_regress)
 
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ReproError as exc:
+        print(f"repro-energy {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

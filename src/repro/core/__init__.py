@@ -83,7 +83,6 @@ from repro.core.policy import (
     DegradePolicy,
     Policy,
     RetryPolicy,
-    resolve_policy,
 )
 from repro.core.power import Power, ProvisioningReport, as_watts, provision
 from repro.core.session import (
@@ -138,7 +137,6 @@ __all__ = [
     "render_stack",
     # policy
     "Policy", "RetryPolicy", "DeadlinePolicy", "DegradePolicy",
-    "resolve_policy",
     # errors
     "ReproError", "EnergyError", "UnitMismatchError", "UnknownECVError",
     "ECVBindingError", "EvaluationError", "ContractViolation",

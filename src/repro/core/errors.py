@@ -119,7 +119,7 @@ class FaultInjected(EvaluationError):
     """Raised by the fault-injection layer (:mod:`repro.faults`).
 
     ``site`` names the injection point (``"interface"``, ``"ecv"``,
-    ``"hardware"``, ``"mcengine.shard"``, ...) so degradation handlers
+    ``"hardware"``, ``"fleet.replica"``, ...) so degradation handlers
     and reports can attribute the failure.
     """
 

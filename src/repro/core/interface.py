@@ -17,7 +17,7 @@ This module provides:
     :class:`~repro.core.distributions.EnergyDistribution`.  Inside a
     method, ``self.ecv("name")`` reads an ECV.
 
-Evaluation modes (:meth:`EnergyInterface.evaluate`)
+Evaluation modes (:func:`evaluate`)
     * ``"expected"`` — the mean over ECV randomness,
     * ``"distribution"`` — the full mixture distribution,
     * ``"worst"`` — the supremum over all ECV values (contract reasoning),
@@ -43,7 +43,6 @@ import contextvars
 import functools
 import inspect
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -68,29 +67,7 @@ __all__ = [
     "EnergyCall",
     "TraceOutcome",
     "evaluate",
-    "DEFAULT_MAX_TRACES",
 ]
-
-#: The budget defaults moved to :class:`repro.core.session.EvalSession`
-#: (the single source); these module attributes remain as deprecated
-#: aliases served by the module-level ``__getattr__`` below.
-_MOVED_DEFAULTS = {
-    "DEFAULT_MAX_TRACES": "DEFAULT_MAX_TRACES",
-    "DEFAULT_MC_SAMPLES": "DEFAULT_N_SAMPLES",
-}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_DEFAULTS:
-        replacement = _MOVED_DEFAULTS[name]
-        warnings.warn(
-            f"repro.core.interface.{name} is deprecated; use "
-            f"repro.core.session.EvalSession.{replacement} instead",
-            DeprecationWarning, stacklevel=2)
-        from repro.core.session import EvalSession
-        return getattr(EvalSession, replacement)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 _ACTIVE_CONTEXT: contextvars.ContextVar["_BaseContext | None"] = (
     contextvars.ContextVar("repro_energy_eval_context", default=None))
@@ -264,9 +241,7 @@ class EnergyCall:
     The value object the canonical :func:`evaluate` consumes: calling an
     interface builds one (``interface("E_handle", pixels)``), and the
     session uses its identity (interface name, method, arguments) for
-    memoization keys and span labels.  When the interface and arguments
-    are picklable the call can be shipped to worker processes, which is
-    what lets the parallel Monte Carlo engine shard an evaluation.
+    memoization keys and span labels.
     """
 
     interface: "EnergyInterface"
@@ -386,22 +361,6 @@ class EnergyInterface:
         return evaluate(self(method, *args, **kwargs), session=session,
                         mode=mode, env=env, engine=engine, n_samples=n_samples,
                         max_traces=max_traces, rng=rng, fingerprint=fingerprint)
-
-    def evaluate(self, method: str | Callable[..., Any], *args: Any,
-                 **kwargs: Any) -> Any:
-        """Deprecated: use ``evaluate(interface(method, *args), ...)``.
-
-        The method form predates the unified entry point.  It keeps
-        returning exactly what it used to; new code should build an
-        :class:`EnergyCall` and go through the one canonical
-        :func:`repro.core.interface.evaluate`.
-        """
-        warnings.warn(
-            "EnergyInterface.evaluate(method, ...) is deprecated; use "
-            "repro.core.interface.evaluate(interface(method, *args), ...) "
-            "instead",
-            DeprecationWarning, stacklevel=2)
-        return self._evaluate(method, *args, **kwargs)
 
     def distribution(self, method: str, *args: Any,
                      env: ECVEnvironment | Mapping[str, Any] | None = None,
@@ -548,8 +507,8 @@ def evaluate(fn: "EnergyCall | Callable[[], Any]", *,
     Everything else is keyword-only and defaults to the session's
     configuration: ``mode`` (expected/distribution/worst/best/sample/
     fixed), ``env`` (extra ECV bindings layered over the session's),
-    ``engine`` (the Monte Carlo engine — ``"serial"``, ``"vector"``,
-    ``"parallel"`` or an :class:`~repro.core.mcengine.MCEngine`),
+    ``engine`` (the Monte Carlo engine — ``"serial"``, ``"vector"`` or an
+    :class:`~repro.core.mcengine.MCEngine`),
     ``n_samples`` / ``max_traces`` budgets, ``rng`` (replay-stable
     randomness override) and ``fingerprint`` (memo-key override for the
     environment).  The ``session`` resolves to the one passed in, else the
@@ -568,6 +527,6 @@ def evaluate(fn: "EnergyCall | Callable[[], Any]", *,
                                       fingerprint=fingerprint, rng=rng,
                                       n_samples=n_samples,
                                       max_traces=max_traces, engine=engine)
-    return session._evaluate_fn(fn, mode=mode, env=env, rng=rng,
-                                n_samples=n_samples, max_traces=max_traces,
-                                engine=engine)
+    return session._evaluate_callable(fn, mode=mode, env=env, rng=rng,
+                                      n_samples=n_samples,
+                                      max_traces=max_traces, engine=engine)

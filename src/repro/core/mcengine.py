@@ -1,4 +1,4 @@
-"""Monte Carlo evaluation engines: vectorized and multi-process sampling.
+"""Monte Carlo evaluation engines: serial and vectorized sampling.
 
 §3 of the paper makes an interface's return value a *distribution* once
 ECVs are bound; whenever a continuous ECV blocks exact enumeration the
@@ -18,12 +18,6 @@ tax on every probabilistic answer.  This module removes it:
     back to the per-sample loop **over the same columns** — results are
     bitwise-identical either way.
 
-:class:`ParallelEngine`
-    Shards the sample index range across a ``ProcessPoolExecutor``.
-    Each worker rebuilds the same deterministic column store, so the
-    concatenated output is bitwise-identical to a serial run regardless
-    of the shard count.
-
 Replay discipline
 -----------------
 All engines draw from a :class:`ColumnStore`: for every ``(qualified ECV
@@ -33,7 +27,7 @@ keyed form of ``SeedSequence.spawn``) from a single *entropy* integer.
 The entropy comes from the session (its seed, else the pinned historical
 constant ``0xEC5``, else one draw from an explicit ``rng=`` override), so
 
-* serial == vectorized == any-shard-count parallel, bitwise, and
+* serial == vectorized, bitwise, and
 * repeated evaluations in equal-seed sessions replay exactly.
 
 Sharing columns across evaluations of one session also gives *common
@@ -49,11 +43,7 @@ across engines.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -78,7 +68,6 @@ __all__ = [
     "MCEngine",
     "SerialEngine",
     "VectorEngine",
-    "ParallelEngine",
     "ENGINES",
     "resolve_engine",
 ]
@@ -96,8 +85,8 @@ def _name_key(qualified: str) -> int:
     """A stable 32-bit key for an ECV name.
 
     ``zlib.crc32`` rather than ``hash()`` because builtin string hashing
-    is salted per process — worker processes must derive the same column
-    generators as the parent.
+    is salted per process — a replay in a fresh process must derive the
+    same column generators.
     """
     return zlib.crc32(qualified.encode("utf-8"))
 
@@ -109,8 +98,7 @@ class ColumnStore:
     column for ``(qualified, occurrence)`` holds the value the
     ``occurrence``-th read of that ECV takes in each of the ``n`` sample
     runs.  Columns are a pure function of ``(entropy, qualified,
-    occurrence)``, so any process — and any engine — reconstructs
-    identical draws.
+    occurrence)``, so any engine reconstructs identical draws.
     """
 
     def __init__(self, entropy: int, n: int) -> None:
@@ -153,7 +141,7 @@ class _ColumnContext(_BaseContext):
     The replacement for drawing ``ecv.sample(rng)`` per read: sample
     ``index`` reads position ``index`` of the deterministic column for
     each ``(ECV, occurrence)`` it touches, so the values do not depend on
-    which engine (or process) runs the sample.
+    which engine runs the sample.
     """
 
     def __init__(self, env: ECVEnvironment, store: ColumnStore, index: int,
@@ -211,10 +199,6 @@ class MCTask:
     n: int
     entropy: int
     session: "EvalSession | None" = None
-    #: A picklable zero-argument callable equivalent to ``fn`` (an
-    #: :class:`~repro.core.interface.EnergyCall`), when the evaluation
-    #: came through the keyed path.  Required for process fan-out.
-    call: Callable[[], Any] | None = None
 
 
 class _NotVectorizable(Exception):
@@ -263,21 +247,19 @@ def _outcome_vector(value: Any, store: ColumnStore, n: int) -> np.ndarray:
     return array
 
 
-def _per_sample(task: MCTask, store: ColumnStore,
-                lo: int = 0, hi: int | None = None,
-                session: "EvalSession | None" = None) -> np.ndarray:
-    """Evaluate samples ``lo:hi`` one at a time over shared columns."""
-    hi = task.n if hi is None else hi
+def _per_sample(task: MCTask, store: ColumnStore) -> np.ndarray:
+    """Evaluate the samples one at a time over shared columns."""
+    session = task.session
     weight = 1.0 / task.n
-    out = np.empty(hi - lo)
-    for index in range(lo, hi):
+    out = np.empty(task.n)
+    for index in range(task.n):
         context = _ColumnContext(task.env, store, index, session=session)
         if session is not None:
             session._on_trace_begin()
         value = _run_in_context(task.fn, context)
         if session is not None:
             session._on_trace_end(weight, value)
-        out[index - lo] = _outcome_scalar(value, store, index)
+        out[index] = _outcome_scalar(value, store, index)
     return out
 
 
@@ -300,7 +282,7 @@ class SerialEngine(MCEngine):
 
     def draws(self, task: MCTask) -> np.ndarray:
         store = ColumnStore(task.entropy, task.n)
-        return _per_sample(task, store, session=task.session)
+        return _per_sample(task, store)
 
 
 class VectorEngine(MCEngine):
@@ -337,174 +319,19 @@ class VectorEngine(MCEngine):
             # semantics.
             if session is not None:
                 session._abort_trace()
-            return _per_sample(task, store, session=session)
+            return _per_sample(task, store)
         if session is not None:
             session._on_batch(task.n, Empirical(draws))
         return draws
-
-
-def _worker_evaluate(call: Callable[[], Any], env: ECVEnvironment,
-                     entropy: int, n: int, lo: int, hi: int) -> np.ndarray:
-    """Executed in a worker process: one shard of the sample range.
-
-    Rebuilds the column store from ``entropy`` (columns are pure
-    functions of it) and evaluates its contiguous index slice.  A
-    seed-pinned session is activated so nested ``evaluate()`` calls
-    inside the interface stay deterministic and match the parent.
-    """
-    from repro.core.interface import _ACTIVE_SESSION
-    from repro.core.session import EvalSession
-
-    store = ColumnStore(entropy, n)
-    task = MCTask(fn=call, env=env, n=n, entropy=entropy, call=call)
-    token = _ACTIVE_SESSION.set(EvalSession(seed=entropy, engine="serial"))
-    try:
-        return _per_sample(task, store, lo=lo, hi=hi)
-    finally:
-        _ACTIVE_SESSION.reset(token)
-
-
-def _shard_bounds(n: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous, near-equal index ranges covering ``range(n)``."""
-    base, extra = divmod(n, shards)
-    bounds = []
-    lo = 0
-    for shard in range(shards):
-        hi = lo + base + (1 if shard < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-class ParallelEngine(MCEngine):
-    """Multi-process sharding of the sample range.
-
-    Workers receive the picklable :class:`~repro.core.interface.EnergyCall`
-    plus the entropy and rebuild identical columns, so the concatenated
-    shards are bitwise-equal to a serial run for *any* shard count.
-    Hook-wise the parent emits one batch event (per-sample span detail
-    stays in the workers and is not shipped back).  Tasks with no
-    picklable call (closures, ``evaluate_fn``) fall back to the
-    in-process :class:`VectorEngine`.
-    """
-
-    name = "parallel"
-
-    def __init__(self, shards: int | None = None) -> None:
-        self.shards = shards
-
-    def _resolve_shards(self, n: int) -> int:
-        shards = self.shards if self.shards is not None else os.cpu_count() or 1
-        return max(1, min(int(shards), int(n)))
-
-    def draws(self, task: MCTask) -> np.ndarray:
-        shards = self._resolve_shards(task.n)
-        payload, pickle_error = self._picklable_payload(task)
-        session = task.session
-        if payload is None or shards == 1:
-            if pickle_error is not None and session is not None:
-                # Surface *why* the parallel engine fell back in-process:
-                # the original pickling error used to be swallowed here.
-                session._annotate(
-                    f"parallel fallback: call not picklable "
-                    f"({type(pickle_error).__name__}: {pickle_error})")
-            try:
-                return _VECTOR.draws(task)
-            except Exception as exc:
-                if pickle_error is not None and exc.__cause__ is None:
-                    # The fallback failed too; chain the pickling error
-                    # so the report shows both causes.
-                    raise exc from pickle_error
-                raise
-        call, env = payload
-        fault_hook = session.fault_hook if session is not None else None
-        if session is not None:
-            session._on_trace_begin()
-        try:
-            bounds = _shard_bounds(task.n, shards)
-            live, dead = self._split_dead_shards(bounds, fault_hook)
-            parts: list[np.ndarray | None] = [None] * shards
-            if live:
-                start_methods = multiprocessing.get_all_start_methods()
-                context = (multiprocessing.get_context("fork")
-                           if "fork" in start_methods else None)
-                with ProcessPoolExecutor(max_workers=len(live),
-                                         mp_context=context) as pool:
-                    futures = {
-                        shard: pool.submit(_worker_evaluate, call, env,
-                                           task.entropy, task.n, lo, hi)
-                        for shard, (lo, hi) in live}
-                    for shard, future in futures.items():
-                        try:
-                            parts[shard] = future.result()
-                        except Exception as exc:
-                            # A genuinely dead worker: re-shard its range
-                            # in-process (columns are pure functions of
-                            # the entropy, so the recovery is bitwise-
-                            # identical to what the worker would return).
-                            dead.append((shard, bounds[shard]))
-                            if session is not None:
-                                session._annotate(
-                                    f"shard {shard} died "
-                                    f"({type(exc).__name__}); recomputed "
-                                    f"in-process")
-            for shard, (lo, hi) in dead:
-                parts[shard] = _worker_evaluate(call, env, task.entropy,
-                                                task.n, lo, hi)
-        except BaseException:
-            if session is not None:
-                session._abort_trace()
-            raise
-        draws = np.concatenate([part for part in parts if part is not None])
-        if session is not None:
-            session._on_batch(task.n, Empirical(draws))
-        return draws
-
-    @staticmethod
-    def _split_dead_shards(bounds: list[tuple[int, int]], fault_hook: Any
-                           ) -> tuple[list, list]:
-        """Partition shards into live ones and injected-dead ones.
-
-        Each shard consults the session's fault plan (site
-        ``"mcengine.shard"``) once, in shard order, so replays kill the
-        same shards.  Dead shards are recomputed in the parent over the
-        same deterministic columns — the result stays bitwise-identical,
-        the fault only costs the lost parallelism.
-        """
-        live: list[tuple[int, tuple[int, int]]] = []
-        dead: list[tuple[int, tuple[int, int]]] = []
-        for shard, span in enumerate(bounds):
-            dies = (fault_hook is not None
-                    and fault_hook.shard_dies(shard))
-            (dead if dies else live).append((shard, span))
-        return live, dead
-
-    @staticmethod
-    def _picklable_payload(task: MCTask
-                           ) -> tuple[tuple | None, Exception | None]:
-        """``(payload, error)``: the picklable payload, or why there is none."""
-        if task.call is None:
-            return None, None
-        payload = (task.call, task.env)
-        try:
-            pickle.dumps(payload)
-        except Exception as exc:
-            return None, exc
-        return payload, None
-
-    def __repr__(self) -> str:
-        return f"ParallelEngine(shards={self.shards})"
 
 
 _SERIAL = SerialEngine()
 _VECTOR = VectorEngine()
-_PARALLEL = ParallelEngine()
 
-#: Named engine registry (``EvalSession(engine="parallel")``, CLI flags).
+#: Named engine registry (``EvalSession(engine="serial")``, CLI flags).
 ENGINES: dict[str, MCEngine] = {
     "serial": _SERIAL,
     "vector": _VECTOR,
-    "parallel": _PARALLEL,
 }
 
 

@@ -1,17 +1,12 @@
 """Declarative evaluation/serving policy: one object, every knob.
 
-PR 4 collapsed the evaluation *entry points* into one canonical
-``evaluate()``; this module collapses the evaluation *knobs*.  Before,
-three families of settings lived in three places — the Monte Carlo knobs
-on :class:`~repro.core.session.EvalSession` (``engine``, ``n_samples``,
-``max_traces``), the admission knobs on
-:class:`~repro.serving.gateway.GatewayConfig` (``mc_engine``,
-``admission_quantile``) and the new resilience knobs (retry, deadline,
-degradation) had nowhere to live at all.  A :class:`Policy` holds all of
-them declaratively and is accepted by both ``EvalSession(policy=...)``
-and ``GatewayConfig(policy=...)``; the old keyword shapes keep working
-through ``DeprecationWarning`` shims, the same migration pattern as
-PR 4's ``evaluate()`` collapse.
+One canonical ``evaluate()`` answers every energy query; this module
+holds every knob that shapes the answer.  A :class:`Policy` carries the
+Monte Carlo settings (``mc_engine``, ``n_samples``, ``max_traces``), the
+prediction backend, the admission quantile, the resilience settings
+(retry, deadline, degradation), the fleet settings and the calibration
+guard, declaratively.  It is accepted by ``EvalSession(policy=...)``,
+``GatewayConfig(policy=...)`` and the fleet.
 
 The resilience sub-policies are consumed by
 :class:`repro.faults.ResilientEvaluator`:
@@ -27,8 +22,7 @@ The resilience sub-policies are consumed by
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.errors import ServingError
 
@@ -37,7 +31,6 @@ __all__ = [
     "DeadlinePolicy",
     "DegradePolicy",
     "Policy",
-    "resolve_policy",
 ]
 
 #: Valid rungs of the degradation ladder, in their canonical order.
@@ -116,7 +109,7 @@ class Policy:
     so ``Policy()`` is a no-op policy.
     """
 
-    #: Monte Carlo engine for evaluations ("serial"/"vector"/"parallel").
+    #: Monte Carlo engine for evaluations ("serial"/"vector").
     mc_engine: str | None = None
     #: Prediction backend ("sampled"/"compiled"); None keeps the session
     #: default (sampled — the historical Monte Carlo behavior).
@@ -154,6 +147,11 @@ class Policy:
     calibration_min_observations: int = 8
 
     def __post_init__(self) -> None:
+        if self.admission_quantile is not None \
+                and not 0.0 <= self.admission_quantile <= 1.0:
+            raise ServingError(
+                f"admission_quantile must be in [0, 1], got "
+                f"{self.admission_quantile}")
         if self.replicas is not None and self.replicas < 1:
             raise ServingError(
                 f"replicas must be >= 1, got {self.replicas}")
@@ -182,30 +180,3 @@ class Policy:
     def resilient(self) -> bool:
         """True when any resilience knob is set (retry or deadline)."""
         return self.retry is not None or self.deadline is not None
-
-
-def resolve_policy(policy: Policy | None, *,
-                   mc_engine: str | None = None,
-                   admission_quantile: float | None = None,
-                   stacklevel: int = 3) -> Policy:
-    """Merge legacy per-knob keywords into a :class:`Policy`.
-
-    The shim behind ``GatewayConfig(mc_engine=..., admission_quantile=...)``:
-    explicit legacy keywords win over the policy's fields (matching the
-    old behaviour where they were the only knobs) but emit a
-    ``DeprecationWarning`` steering callers to ``Policy``.
-    """
-    resolved = policy if policy is not None else Policy()
-    legacy = {key: value for key, value in
-              (("mc_engine", mc_engine),
-               ("admission_quantile", admission_quantile))
-              if value is not None}
-    if legacy:
-        names = ", ".join(sorted(legacy))
-        warnings.warn(
-            f"passing {names} directly is deprecated; set them on a "
-            f"Policy (e.g. Policy({names.replace(', ', '=..., ')}=...)) "
-            f"instead",
-            DeprecationWarning, stacklevel=stacklevel)
-        resolved = replace(resolved, **legacy)
-    return resolved

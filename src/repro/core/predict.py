@@ -182,8 +182,7 @@ class SampledBackend(PredictionBackend):
         resolved = (session.engine if engine is None
                     else resolve_engine(engine))
         task = MCTask(fn=fn, env=env, n=int(n_samples),
-                      entropy=session._mc_entropy(rng), session=session,
-                      call=call)
+                      entropy=session._mc_entropy(rng), session=session)
         draws = resolved.draws(task)
         if mode == "expected":
             return Energy(float(np.mean(draws)))

@@ -31,7 +31,6 @@ tree; :func:`chrome_trace` exports it as Chrome-trace JSON (open in
 from __future__ import annotations
 
 import json
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Mapping
@@ -90,8 +89,8 @@ _MAX_ECV_VALUES = 8
 
 
 # ---------------------------------------------------------------------------
-# Environment fingerprints (moved here from repro.serving.evalcache so any
-# layer can memoize; the serving module re-exports them unchanged).
+# Environment fingerprints (any layer can memoize; repro.serving re-exports
+# them for the gateway's cache).
 # ---------------------------------------------------------------------------
 
 def _quantise(value: float, quantum: float) -> float:
@@ -204,7 +203,7 @@ class EvalSpan:
     ecv_reads: dict[str, list] = field(default_factory=dict)
     children: list["EvalSpan"] = field(default_factory=list)
     #: Free-form diagnostics surfaced by the evaluation machinery (e.g.
-    #: why a parallel run fell back in-process, which faults fired).
+    #: why a compiled query fell back to sampling).
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -474,7 +473,7 @@ class MemoHook(EvalHook):
         self.misses = 0
         self.evictions = 0
 
-    # -- raw store access (EvalCache and EvalSession.memoized use these) ----
+    # -- raw store access (EvalSession.memoized uses these) ----------------
     def lookup(self, key: Hashable) -> tuple[bool, Any]:
         """``(hit, value)``; unhashable keys count as misses."""
         try:
@@ -861,9 +860,8 @@ class SpanRecorder(EvalHook):
         """Attach a diagnostic note to the innermost open evaluation span.
 
         Used by the evaluation machinery to surface events that would
-        otherwise be invisible in the tree — a parallel engine falling
-        back in-process because the call would not pickle, a shard being
-        recomputed after a worker died, an injected fault.
+        otherwise be invisible in the tree, such as a compiled query
+        falling back to sampling.
         """
         if not self._frames:
             return
@@ -981,8 +979,8 @@ class EvalSession:
         """The first fault-injection hook in the chain, if any.
 
         Duck-typed on the ``is_fault_hook`` marker so the core does not
-        import :mod:`repro.faults`; the engines consult it for
-        engine-level fault sites (shard death).
+        import :mod:`repro.faults`; the resilient evaluator and the
+        gateway consult it.
         """
         return self._fault_hook
 
@@ -1060,7 +1058,7 @@ class EvalSession:
 
         Every engine derives all of an evaluation's randomness from this
         one integer (see :mod:`repro.core.mcengine`), which is what makes
-        serial, vectorized and sharded runs replay-identical:
+        serial and vectorized runs replay-identical:
 
         * an explicit ``rng=`` override contributes one draw (so equal-
           state generators give equal results, and a stateful generator
@@ -1079,38 +1077,6 @@ class EvalSession:
         return DEFAULT_ENTROPY
 
     # -- the pipeline ---------------------------------------------------------
-    def evaluate(self, interface: Any, method: str | Callable[..., Any],
-                 *args: Any,
-                 mode: str | None = None,
-                 env: ECVEnvironment | Mapping[str, Any] | None = None,
-                 fingerprint: Hashable | None = None,
-                 rng: np.random.Generator | None = None,
-                 n_samples: int | None = None,
-                 max_traces: int | None = None,
-                 engine: str | MCEngine | None = None,
-                 **kwargs: Any) -> Any:
-        """Deprecated: use :func:`repro.core.interface.evaluate`.
-
-        ``session.evaluate(interface, method, *args, ...)`` is one of the
-        three pre-unification entry points.  It keeps returning exactly
-        what it used to, but new code should build an
-        :class:`~repro.core.interface.EnergyCall` and go through the one
-        canonical function::
-
-            evaluate(interface(method, *args), session=session, ...)
-        """
-        warnings.warn(
-            "EvalSession.evaluate(interface, method, ...) is deprecated; "
-            "use repro.core.interface.evaluate(interface(method, *args), "
-            "session=session, ...) instead",
-            DeprecationWarning, stacklevel=2)
-        call = EnergyCall(interface, method, args,
-                          tuple(sorted(kwargs.items())))
-        return self._evaluate_call(call, mode=mode, env=env,
-                                   fingerprint=fingerprint, rng=rng,
-                                   n_samples=n_samples,
-                                   max_traces=max_traces, engine=engine)
-
     def _evaluate_call(self, call: EnergyCall, *,
                        mode: str | None = None,
                        env: ECVEnvironment | Mapping[str, Any] | None = None,
@@ -1173,34 +1139,13 @@ class EvalSession:
             hook.after_evaluate(request, value, False)
         return value
 
-    def evaluate_fn(self, fn: Callable[[], Any], *,
-                    mode: str | None = None,
-                    env: ECVEnvironment | Mapping[str, Any] | None = None,
-                    rng: np.random.Generator | None = None,
-                    n_samples: int | None = None,
-                    max_traces: int | None = None,
-                    engine: str | MCEngine | None = None) -> Any:
-        """Deprecated: use :func:`repro.core.interface.evaluate`.
-
-        ``session.evaluate_fn(fn, ...)`` predates the unified signature;
-        the canonical spelling is ``evaluate(fn, session=session, ...)``.
-        """
-        warnings.warn(
-            "EvalSession.evaluate_fn(fn, ...) is deprecated; use "
-            "repro.core.interface.evaluate(fn, session=session, ...) "
-            "instead",
-            DeprecationWarning, stacklevel=2)
-        return self._evaluate_fn(fn, mode=mode, env=env, rng=rng,
-                                 n_samples=n_samples, max_traces=max_traces,
-                                 engine=engine)
-
-    def _evaluate_fn(self, fn: Callable[[], Any], *,
-                     mode: str | None = None,
-                     env: ECVEnvironment | Mapping[str, Any] | None = None,
-                     rng: np.random.Generator | None = None,
-                     n_samples: int | None = None,
-                     max_traces: int | None = None,
-                     engine: str | MCEngine | None = None) -> Any:
+    def _evaluate_callable(self, fn: Callable[[], Any], *,
+                           mode: str | None = None,
+                           env: ECVEnvironment | Mapping[str, Any] | None = None,
+                           rng: np.random.Generator | None = None,
+                           n_samples: int | None = None,
+                           max_traces: int | None = None,
+                           engine: str | MCEngine | None = None) -> Any:
         """Evaluate a zero-argument callable that reads ECVs.
 
         The free-function form — what resource managers and tools use for
@@ -1211,11 +1156,10 @@ class EvalSession:
         resolved_mode = mode if mode is not None else self.mode
         merged_env = self.env if env is None else \
             self.env.extended(_coerce_env(env).bindings)
-        call = fn if isinstance(fn, EnergyCall) else None
         return self._run(fn, resolved_mode, merged_env, rng, n_samples,
                          max_traces, label=("<fn>", getattr(
                              fn, "__name__", "<lambda>"), (), None, None),
-                         engine=engine, call=call)
+                         engine=engine)
 
     def memoized(self, key: tuple, fn: Callable[[], Any]) -> Any:
         """Session-scoped memoization for arbitrary manager computations.

@@ -13,7 +13,7 @@ This package makes failure a first-class, replayable input:
 * :class:`FaultHook` — an :class:`~repro.core.session.EvalHook` that
   injects the plan's failures at keyed-evaluation boundaries (interface
   exceptions, ECV sampling errors, hardware NaN readings, simulated
-  latency) and at engine-level sites (``ParallelEngine`` shard death).
+  latency).
 * :class:`ResilientEvaluator` / :class:`EvalOutcome` — the consumption
   side: retries with capped exponential backoff
   (:class:`~repro.core.policy.RetryPolicy`), per-request deadlines

@@ -1,11 +1,10 @@
 """The session hook that turns a :class:`FaultPlan` into live failures.
 
 Injection happens at the *keyed-evaluation boundary* — inside
-:meth:`EvalSession._evaluate_call`'s hook loop, in the parent process,
-before any engine runs.  That placement is what keeps injection
-replayable across engines: serial, vector and parallel runs make exactly
-the same sequence of keyed evaluations, so they consult the plan exactly
-the same number of times.  (Evaluations nested *inside* a running
+:meth:`EvalSession._evaluate_call`'s hook loop, before any engine runs.
+That placement is what keeps injection replayable across engines: serial
+and vector runs make exactly the same sequence of keyed evaluations, so
+they consult the plan exactly the same number of times.  (Evaluations nested *inside* a running
 evaluation are engine-dependent — the vector engine runs the body once
 where the serial engine runs it per sample — so the hook deliberately
 skips them.)
@@ -43,9 +42,7 @@ class FaultHook(EvalHook):
     deadline account), then ``ecv`` and ``interface`` (raise
     :class:`~repro.core.errors.FaultInjected`), then ``hardware``
     (short-circuits the evaluation with a NaN reading, poisoning the
-    result the way a garbage meter sample would).  Engine-level sites
-    (``mcengine.shard``) are consulted by the engines through
-    :meth:`shard_dies`.
+    result the way a garbage meter sample would).
     """
 
     #: Duck-typed marker ``EvalSession._index_hooks`` looks for.
@@ -123,17 +120,6 @@ class FaultHook(EvalHook):
             # and EnergyLedger.quarantine) propagates it like real life.
             return (True, Energy(float("nan")))
         return (False, None)
-
-    # -- engine-facing sites --------------------------------------------------
-    def shard_dies(self, shard: int) -> bool:
-        """Consulted by :class:`~repro.core.mcengine.ParallelEngine`."""
-        if self._suspended:
-            return False
-        spec = self.plan.decide("mcengine.shard")
-        if spec is not None:
-            self._fired("mcengine.shard")
-            return True
-        return False
 
     # -- consumption-side accounting ------------------------------------------
     def drain_latency(self) -> float:

@@ -7,8 +7,8 @@ site, visit index)``.  The derivation copies the replay discipline of
 spawned from the plan's entropy with a spawn key of ``(tag,
 crc32(site), visit)``.  Because the decision depends on nothing else —
 not wall-clock, not process identity, not engine — the same plan against
-the same workload injects the same faults under the serial, vector and
-parallel engines, which is what makes degraded paths testable at all.
+the same workload injects the same faults under the serial and vector
+engines, which is what makes degraded paths testable at all.
 """
 
 from __future__ import annotations
@@ -33,15 +33,14 @@ FAULT_SITES = {
     "ecv": "ECV sampling inside an evaluation raises",
     "hardware": "hardware layer reports a NaN/garbage reading",
     "latency": "evaluation overruns: simulated latency is added",
-    "mcengine.shard": "a ParallelEngine worker shard dies",
     "fleet.replica": "a gateway replica crashes (queue lost, drained)",
     "fleet.lease": "a budget-shard lease renewal fails at the coordinator",
 }
 
-#: Sites consulted outside the per-evaluation path (engine internals and
-#: fleet control plane); :meth:`FaultPlan.uniform` leaves them out so the
+#: Sites consulted outside the per-evaluation path (the fleet control
+#: plane); :meth:`FaultPlan.uniform` leaves them out so the
 #: chaos-benchmark shape keeps meaning "evaluations fail".
-NON_EVAL_SITES = ("mcengine.shard", "fleet.replica", "fleet.lease")
+NON_EVAL_SITES = ("fleet.replica", "fleet.lease")
 
 #: How a firing spec manifests at its site.
 FAULT_KINDS = ("error", "nan", "latency")
@@ -52,7 +51,6 @@ _DEFAULT_KIND = {
     "ecv": "error",
     "hardware": "nan",
     "latency": "latency",
-    "mcengine.shard": "error",
     "fleet.replica": "error",
     "fleet.lease": "error",
 }

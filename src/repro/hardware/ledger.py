@@ -28,7 +28,7 @@ from repro.core.errors import HardwareError
 __all__ = ["EnergyRecord", "EnergyLedger"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyRecord:
     """One accounted interval of energy consumption."""
 
@@ -44,7 +44,7 @@ class EnergyRecord:
             raise HardwareError(
                 f"energy record for {self.component!r} has inverted interval "
                 f"[{self.t_start}, {self.t_end}]")
-        if math.isnan(self.joules) or math.isinf(self.joules):
+        if not math.isfinite(self.joules):
             raise HardwareError(
                 f"energy record for {self.component!r} has non-finite energy "
                 f"{self.joules} J")
@@ -84,19 +84,27 @@ class EnergyLedger:
         self._starts: list[float] = []
         self._max_end = 0.0
         self._max_duration = 0.0
+        # (t0, component, domain) -> (length, running sum, latest end) of
+        # the record prefix energy_between has settled for that window.
+        self._prefix: dict[tuple, tuple[int, float, float]] = {}
         #: Readings rejected by :meth:`log_reading`, per component.
         self.dropped: dict[str, int] = {}
 
     def log(self, record: EnergyRecord) -> None:
         """Append one record. Records must arrive in start-time order."""
-        if self._starts and record.t_start < self._starts[-1]:
+        t_start, t_end = record.t_start, record.t_end
+        starts = self._starts
+        if starts and t_start < starts[-1]:
             raise HardwareError(
                 f"energy records must be appended in start-time order; got "
-                f"t_start={record.t_start} after {self._starts[-1]}")
+                f"t_start={t_start} after {starts[-1]}")
         self._records.append(record)
-        self._starts.append(record.t_start)
-        self._max_end = max(self._max_end, record.t_end)
-        self._max_duration = max(self._max_duration, record.duration)
+        starts.append(t_start)
+        # Runs once per record: plain comparisons are cheaper than max().
+        if t_end > self._max_end:
+            self._max_end = t_end
+        if t_end - t_start > self._max_duration:
+            self._max_duration = t_end - t_start
 
     def log_reading(self, component: str, domain: str, t_start: float,
                     t_end: float, joules: float, tag: str = ""
@@ -149,8 +157,29 @@ class EnergyLedger:
         # and none starting before t0 - max_duration can reach into [t0, t1].
         stop = bisect.bisect_right(self._starts, t1)
         begin = bisect.bisect_left(self._starts, t0 - self._max_duration)
-        total = 0.0
-        for record in self._records[begin:stop]:
+        # Cumulative counters (NVML, RAPL) ask for [0, t] with t rising.
+        # A record ending by t1 adds the same term to every later window
+        # from the same t0, so the running sum over such a prefix is kept
+        # and the sum goes on in record order: bitwise the full scan.
+        # Only windows opening at or before the first record are kept, so
+        # sliding windows add no entries.
+        first = self._starts[0] if self._starts else t0
+        key = (t0, component, domain) if t0 <= first else None
+        total, index, prefix_end = 0.0, begin, 0.0
+        cached = self._prefix.get(key)
+        if cached is not None and cached[2] <= t1:
+            index, total, prefix_end = cached
+        settled = key is not None
+        records = self._records
+        for i in range(index, stop):
+            record = records[i]
+            if settled:
+                if record.t_end <= t1:
+                    if record.t_end > prefix_end:
+                        prefix_end = record.t_end
+                else:
+                    self._prefix[key] = (i, total, prefix_end)
+                    settled = False
             if record.t_end < t0 and record.duration > 0:
                 continue
             if component is not None and record.component != component:
@@ -158,6 +187,8 @@ class EnergyLedger:
             if domain is not None and record.domain != domain:
                 continue
             total += record.overlap_joules(t0, t1)
+        if settled:
+            self._prefix[key] = (stop, total, prefix_end)
         return total
 
     def power_at(self, t: float, component: str | None = None,

@@ -4,7 +4,6 @@ from repro.measurement.calibration import (
     DYNAMIC_METRICS,
     METRICS,
     CalibratedModel,
-    calibrate_gpu,
     fit_unit_energies,
     measure_static_power,
 )
@@ -37,5 +36,5 @@ __all__ = [
     "MicrobenchSample", "pointer_chase", "stream", "compute", "scatter",
     "default_suite", "run_suite",
     "CalibratedModel", "fit_unit_energies", "measure_static_power",
-    "calibrate_gpu", "METRICS", "DYNAMIC_METRICS",
+    "METRICS", "DYNAMIC_METRICS",
 ]

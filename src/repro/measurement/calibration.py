@@ -26,7 +26,7 @@ from repro.core.errors import MeasurementError
 from repro.measurement.microbench import MicrobenchSample
 
 __all__ = ["CalibratedModel", "fit_unit_energies", "measure_static_power",
-           "measure_launch_energy", "calibrate_gpu", "METRICS",
+           "measure_launch_energy", "METRICS",
            "DYNAMIC_METRICS"]
 
 #: The model's regressors, in column order.
@@ -223,30 +223,3 @@ def measure_launch_energy(gpu, nvml, static_power_w: float,
     measured = nvml.measure_interval(t_start, gpu.now)
     dynamic = measured - static_power_w * (gpu.now - t_start)
     return max(dynamic / launches, 0.0)
-
-
-def calibrate_gpu(gpu, nvml, suite=None, repeats: int = 20,
-                  min_measure_seconds: float = 0.25,
-                  idle_seconds: float = 2.0) -> CalibratedModel:
-    """Deprecated shim for the historical free-function recipe.
-
-    The calibration entry point is now
-    :func:`repro.calibration.calibrate` (canonical, keyword-only,
-    returning a versioned epoch) with the microbenchmark recipe living
-    in :class:`repro.calibration.MicrobenchCalibrator`.  This shim keeps
-    the old positional shape working — same arguments, same
-    :class:`CalibratedModel` result — but warns.
-    """
-    import warnings
-
-    warnings.warn(
-        "calibrate_gpu(gpu, nvml) is deprecated; use "
-        "repro.calibration.calibrate(machine, source=..., ...) (or "
-        "MicrobenchCalibrator directly) instead",
-        DeprecationWarning, stacklevel=2)
-    from repro.calibration.api import MicrobenchCalibrator
-
-    return MicrobenchCalibrator().calibrate_device(
-        gpu, nvml, suite=suite, repeats=repeats,
-        min_measure_seconds=min_measure_seconds,
-        idle_seconds=idle_seconds)

@@ -7,9 +7,6 @@ execution; this package turns that into a serving-time control loop:
   buckets composed along the Fig. 2 stack;
 * :mod:`repro.serving.admission` — pluggable admit/degrade/defer/reject
   policies over predicted costs;
-* :mod:`repro.serving.evalcache` — memoized interface evaluation keyed
-  by abstract input + ECV-environment fingerprint (the hot-path
-  optimisation that makes per-request prediction affordable);
 * :mod:`repro.serving.adapters` — bridges to the repository's apps
   (ML web service, flash KV store, GPT-2 runtime);
 * :mod:`repro.serving.gateway` — the request lifecycle (queueing,
@@ -18,6 +15,7 @@ execution; this package turns that into a serving-time control loop:
   operator report.
 """
 
+from repro.core.session import ecv_fingerprint, env_fingerprint
 from repro.serving.adapters import (
     GPT2Adapter,
     KVStoreAdapter,
@@ -45,7 +43,6 @@ from repro.serving.budget import (
     EnergyBudget,
     parse_budget_spec,
 )
-from repro.serving.evalcache import EvalCache, ecv_fingerprint, env_fingerprint
 from repro.serving.gateway import EnergyAwareGateway, GatewayConfig, zip_arrivals
 from repro.serving.metrics import (
     RequestRecord,
@@ -63,7 +60,7 @@ __all__ = [
     "AdmitAllPolicy", "HardBudgetPolicy", "ProbabilisticPolicy",
     "QuantileBudgetPolicy", "SLOAwarePolicy",
     "BudgetSpec", "parse_budget_spec", "EnergyBudget", "BudgetManager",
-    "EvalCache", "ecv_fingerprint", "env_fingerprint",
+    "ecv_fingerprint", "env_fingerprint",
     "EnergyAwareGateway", "GatewayConfig", "zip_arrivals",
     "RequestRecord", "ServingMetrics", "ServingReport",
     "attribution_report", "format_report",

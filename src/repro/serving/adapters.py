@@ -25,8 +25,8 @@ import numpy as np
 from repro.core.ecv import BernoulliECV, ECV
 from repro.core.errors import ServingError
 from repro.core.interface import EnergyInterface
+from repro.core.session import DEFAULT_P_QUANTUM, env_fingerprint
 from repro.hardware.machine import Machine
-from repro.serving.evalcache import DEFAULT_P_QUANTUM, env_fingerprint
 from repro.workloads.traces import GenerationRequest, ImageRequest, KVRequest
 
 __all__ = ["ServiceAdapter", "MLServiceAdapter", "KVStoreAdapter",

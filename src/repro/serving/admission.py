@@ -47,9 +47,9 @@ class AdmissionContext:
     budget: EnergyBudget
     expected_joules: float
     worst_joules: float
-    #: q-quantile of the predicted cost distribution, when the gateway is
-    #: configured with ``admission_quantile`` (a tail bound between the
-    #: mean and the worst case, estimated by the batched MC engine).
+    #: q-quantile of the predicted cost distribution, when the gateway's
+    #: policy sets ``admission_quantile`` (a tail bound between the mean
+    #: and the worst case, estimated by the batched MC engine).
     quantile_joules: float | None = None
     queue_depth: int = 0
     wait_estimate_s: float = 0.0
@@ -177,7 +177,7 @@ class QuantileBudgetPolicy(AdmissionPolicy):
     distribution online, and admission requires that tail bound to fit —
     at most a ``1-q`` chance the request overdraws.  Falls back to the
     worst case when the gateway was not configured with
-    ``admission_quantile``.
+    ``policy.admission_quantile``.
     """
 
     name = "quantile"

@@ -6,8 +6,8 @@ enable *online* decisions, so here a stream of requests (from
 single Joule is spent.  For each request the gateway
 
 1. evaluates the app's energy interface in ``"expected"`` and ``"worst"``
-   mode (through the :class:`~repro.serving.evalcache.EvalCache`, keyed
-   on the abstract input and the managers' ECV bindings),
+   mode (through a :class:`~repro.core.session.MemoHook` cache, keyed on
+   the abstract input and the managers' ECV bindings),
 2. asks the :class:`~repro.serving.admission.AdmissionPolicy` whether the
    predicted cost fits the hierarchical
    :class:`~repro.serving.budget.EnergyBudget`,
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from repro.core.errors import CalibrationStale, ServingError
-from repro.core.policy import Policy, resolve_policy
-from repro.core.session import EvalSession
+from repro.core.policy import Policy
+from repro.core.session import EvalSession, MemoHook
 from repro.core.units import as_joules
 from repro.faults.resilient import ResilientEvaluator
 from repro.serving.admission import (
@@ -43,7 +43,6 @@ from repro.serving.admission import (
 )
 from repro.serving.adapters import ServiceAdapter
 from repro.serving.budget import EnergyBudget
-from repro.serving.evalcache import EvalCache
 from repro.serving.metrics import RequestRecord, ServingMetrics, ServingReport
 
 __all__ = ["GatewayConfig", "EnergyAwareGateway", "zip_arrivals"]
@@ -66,40 +65,20 @@ class GatewayConfig:
     Evaluation knobs live on one declarative
     :class:`~repro.core.policy.Policy` (``policy=``): the Monte Carlo
     engine, the admission quantile and the resilience settings (retry /
-    deadline / degradation ladder).  The historical per-knob keywords
-    ``mc_engine=`` and ``admission_quantile=`` still work — they are
-    merged into the policy with a ``DeprecationWarning`` — and after
-    construction ``config.mc_engine`` / ``config.admission_quantile``
-    always read as the *resolved* values, so existing call sites keep
-    working unchanged.
+    deadline / degradation ladder).
     """
 
     max_queue: int = 64            # backpressure bound; overflow is shed
     defer_delay_s: float = 0.05    # hold time before a deferred retry
     ewma_alpha: float = 0.2        # service-time estimator smoothing
-    #: Deprecated spelling of ``policy.mc_engine``; ``None`` defers to
-    #: the policy (whose unset default resolves to "vector").
-    mc_engine: str | None = None
-    #: Deprecated spelling of ``policy.admission_quantile``.
-    admission_quantile: float | None = None
     #: Every evaluation/serving knob, declaratively (see
     #: :class:`repro.core.policy.Policy`).
-    policy: Policy | None = None
+    policy: Policy = field(default_factory=Policy)
 
     def __post_init__(self) -> None:
-        resolved = resolve_policy(self.policy,
-                                  mc_engine=self.mc_engine,
-                                  admission_quantile=self.admission_quantile,
-                                  stacklevel=4)
-        # Frozen dataclass: fields are finalised through the back door so
-        # readers always see the resolved, never-None policy and the
-        # effective engine/quantile regardless of which spelling was used.
-        object.__setattr__(self, "policy", resolved)
-        object.__setattr__(self, "mc_engine",
-                           resolved.mc_engine
-                           if resolved.mc_engine is not None else "vector")
-        object.__setattr__(self, "admission_quantile",
-                           resolved.admission_quantile)
+        if self.max_queue < 1:
+            raise ServingError(
+                f"max_queue must be >= 1, got {self.max_queue}")
 
 
 @dataclass
@@ -116,19 +95,18 @@ class EnergyAwareGateway:
 
     def __init__(self, adapter: ServiceAdapter, budget: EnergyBudget,
                  policy: AdmissionPolicy,
-                 cache: EvalCache | None = None,
+                 cache: MemoHook | None = None,
                  config: GatewayConfig | None = None) -> None:
         self.adapter = adapter
         self.budget = budget
         self.policy = policy
-        self.cache = cache if cache is not None else EvalCache()
+        self.cache = cache if cache is not None else MemoHook()
         self.config = config if config is not None else GatewayConfig()
         # All gateway predictions run through one session whose hook chain
         # holds the eval cache; extra hooks (a SpanRecorder for
         # per-request call trees, an AccountingHook for budget
         # accounting) can be added via ``gateway.session.add_hook``.
-        self.session = EvalSession(hooks=[self.cache.hook],
-                                   engine=self.config.mc_engine,
+        self.session = EvalSession(hooks=[self.cache],
                                    policy=self.config.policy)
         self.resilient = ResilientEvaluator(self.session, self.config.policy)
         self.metrics = ServingMetrics()
@@ -210,7 +188,7 @@ class EnergyAwareGateway:
         repeat requests with the same abstract input hit the eval cache
         and the sampling cost is paid once per distinct input.
         """
-        q = self.config.admission_quantile
+        q = self.config.policy.admission_quantile
         if q is None:
             return None
         call, env, fingerprint = self._cost_query(request)

@@ -100,7 +100,7 @@ class ServingReport:
     p99_latency_s: float | None
     cache_stats: dict[str, float] = field(default_factory=dict)
     #: Name of the Monte Carlo engine that produced the predictions
-    #: ("serial", "vector", "parallel"); None for legacy runs.
+    #: ("serial" or "vector"); None for legacy runs.
     mc_engine: str | None = None
     #: Requests served off a degraded prediction (cache/bound tier).
     eval_degraded: int = 0

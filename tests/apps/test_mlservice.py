@@ -104,11 +104,17 @@ class TestServicePaths:
         assert 0.0 < bindings["local_cache_hit"].p <= 1.0
 
 
+@pytest.fixture(scope="module")
+def calibrated_stack():
+    """A stack over a freshly calibrated service, shared by the tests
+    that only read its structure."""
+    machine, service = build_service()
+    return build_service_stack(service, calibrated(machine))
+
+
 class TestStack:
-    def test_stack_layers(self):
-        machine, service = build_service()
-        model = calibrated(machine)
-        stack = build_service_stack(service, model)
+    def test_stack_layers(self, calibrated_stack):
+        stack = calibrated_stack
         assert [layer.name for layer in stack.layers] == \
             ["hardware", "os", "runtime"]
 
@@ -132,13 +138,10 @@ class TestStack:
             for r in trace)
         assert predicted == pytest.approx(measured, rel=0.10)
 
-    def test_interface_reads_like_fig1(self):
+    def test_interface_reads_like_fig1(self, calibrated_stack):
         """The exported interface's source contains the Fig. 1 structure."""
         from repro.core.report import describe_interface
-        machine, service = build_service()
-        model = calibrated(machine)
-        stack = build_service_stack(service, model)
-        resource = stack.resource("runtime/ml_webservice")
+        resource = calibrated_stack.resource("runtime/ml_webservice")
         text = describe_interface(resource.energy_interface)
         assert "request_hit" in text
         assert "E_handle" in text

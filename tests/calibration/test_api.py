@@ -1,6 +1,4 @@
-"""The unified Calibrator API: registry, canonical entry point, shim."""
-
-import warnings
+"""The unified Calibrator API: registry and canonical entry point."""
 
 import pytest
 
@@ -136,41 +134,3 @@ class TestEpochFingerprint:
                                         unit_energies=drifted),
                                 at=machine.now)
         assert bumped.fingerprint() != epoch.fingerprint()
-
-
-class TestDeprecatedShim:
-    def test_calibrate_gpu_warns_and_points_at_caller(self):
-        from repro.measurement.calibration import calibrate_gpu
-
-        machine = build_gpu_workstation(SIM4090)
-        gpu = machine.component("gpu0")
-        from repro.measurement.nvml import NVMLSim
-        nvml = NVMLSim(gpu, seed=1)
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            model = calibrate_gpu(gpu, nvml)
-        deprecations = [r for r in records
-                        if issubclass(r.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
-        assert "repro.calibration.calibrate" in str(deprecations[0].message)
-        assert model.static_power_w > 0
-
-    def test_shim_matches_canonical_result(self):
-        from repro.measurement.calibration import calibrate_gpu
-        from repro.measurement.nvml import NVMLSim
-
-        machine = build_gpu_workstation(SIM4090)
-        gpu = machine.component("gpu0")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = calibrate_gpu(gpu, NVMLSim(gpu, seed=4))
-        canonical = calibrate(build_gpu_workstation(SIM4090),
-                              source="gpu0", seed=4).model
-        assert shimmed.unit_energies == canonical.unit_energies
-
-    def test_canonical_path_is_warning_clean(self):
-        machine = build_gpu_workstation(SIM4090)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            calibrate(machine, source="gpu0", seed=2)

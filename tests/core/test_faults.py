@@ -4,25 +4,20 @@ The load-bearing contracts:
 
 * **replayable chaos** — the same seed and the same
   :class:`~repro.faults.FaultPlan` produce bitwise-identical values and
-  identical degradation decisions under the serial, vectorized and
-  multi-process engines;
+  identical degradation decisions under the serial and vectorized
+  engines;
 * **the resilience pipeline** — retry with capped, seeded-jitter
   backoff; simulated deadlines; the cache → bound → reject ladder;
-* **engine-level faults** — a parallel run that loses shards recomputes
-  them and still matches the vector engine bitwise, and the pickling
-  fallback surfaces its cause instead of swallowing it;
 * **the error taxonomy** — one root, stable unique codes, and
   dual-inheritance shims that keep historical ``except ValueError`` /
   ``except RuntimeError`` handlers working;
 * **the policy façade** — one declarative :class:`~repro.core.policy.
-  Policy` accepted everywhere, with deprecation shims for the old
-  per-knob spellings.
+  Policy` accepted everywhere, validating its knobs at construction.
 """
 
 import math
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.core.ecv import BernoulliECV, ContinuousECV
@@ -43,9 +38,8 @@ from repro.core.policy import (
     DegradePolicy,
     Policy,
     RetryPolicy,
-    resolve_policy,
 )
-from repro.core.session import EvalSession, SpanRecorder
+from repro.core.session import EvalSession
 from repro.core.units import Energy, as_joules
 from repro.faults import (
     EvalOutcome,
@@ -94,7 +88,6 @@ class TestReplayableChaos:
     def test_identical_outcomes_across_engines(self):
         serial = _chaos_run("serial")
         assert serial == _chaos_run("vector")
-        assert serial == _chaos_run("parallel")
         statuses = {sig[0] for sig in serial}
         assert "ok" in statuses
         assert statuses - {"ok"}, (
@@ -212,45 +205,6 @@ class TestResiliencePipeline:
         assert exc.code == "deadline-exceeded"
 
 
-class TestEngineFaults:
-    def test_dead_shards_recompute_bitwise_identical(self):
-        interface = FlakyInterface()
-        clean = EvalSession(seed=11, engine="vector")
-        reference = evaluate(interface("E_op", 8), session=clean,
-                             mode="distribution", n_samples=4000)
-
-        from repro.core.mcengine import ParallelEngine
-        chaotic = EvalSession(seed=11, engine=ParallelEngine(shards=4))
-        hook = FaultHook(FaultPlan(
-            [FaultSpec("mcengine.shard", 1.0)], entropy=3)
-        ).install(chaotic)
-        survived = evaluate(interface("E_op", 8), session=chaotic,
-                            mode="distribution", n_samples=4000)
-        assert np.array_equal(np.asarray(reference._samples),
-                              np.asarray(survived._samples))
-        assert hook.injected.get("mcengine.shard", 0) > 0
-
-    def test_pickle_fallback_chains_cause_and_annotates(self):
-        class Unpicklable(EnergyInterface):
-            def __init__(self):
-                super().__init__("unpicklable")
-                self.declare_ecv(ContinuousECV("x", low=0.0, high=1.0))
-                self._trap = lambda: None  # locals cannot be pickled
-
-            def E_op(self, n):
-                return Energy(n * self.ecv("x"))
-
-        recorder = SpanRecorder()
-        session = EvalSession(seed=1, engine="parallel",
-                              hooks=[recorder])
-        dist = evaluate(Unpicklable()("E_op", 4), session=session,
-                        mode="distribution", n_samples=4000)
-        assert len(np.asarray(dist._samples)) == 4000
-        rendered = "\n".join(
-            str(root.notes) for root in recorder.roots)
-        assert "parallel fallback" in rendered
-
-
 class TestErrorTaxonomy:
     def test_codes_are_unique_and_stable(self):
         assert len(ERROR_CODES) == len(set(ERROR_CODES))
@@ -284,31 +238,37 @@ class TestPolicyFacade:
         assert session.engine.name == "serial"
         assert session.n_samples == 64
 
-    def test_gateway_config_legacy_kwargs_warn_but_work(self):
-        from repro.serving.gateway import GatewayConfig
-        with pytest.warns(DeprecationWarning):
-            config = GatewayConfig(mc_engine="serial",
-                                   admission_quantile=0.9)
-        assert config.mc_engine == "serial"
-        assert config.policy.mc_engine == "serial"
-        assert config.admission_quantile == 0.9
-
     def test_gateway_config_policy_spelling_is_silent(self):
-        from repro.serving.gateway import GatewayConfig
+        from repro.serving.gateway import EnergyAwareGateway, GatewayConfig
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            config = GatewayConfig(policy=Policy(mc_engine="parallel"))
-        assert config.mc_engine == "parallel"
-
-    def test_resolve_policy_legacy_wins(self):
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_policy(Policy(mc_engine="vector"),
-                                      mc_engine="serial")
-        assert resolved.mc_engine == "serial"
+            config = GatewayConfig(policy=Policy(mc_engine="serial",
+                                                 admission_quantile=0.9))
+        assert config.policy.mc_engine == "serial"
+        assert config.policy.admission_quantile == 0.9
+        assert GatewayConfig().policy == Policy()
+        # An unset engine serves on the vector engine.
+        from repro.serving import (EnergyBudget, HardBudgetPolicy,
+                                   KVStoreAdapter)
+        gateway = EnergyAwareGateway(
+            KVStoreAdapter(), EnergyBudget("b", capacity_joules=1.0),
+            HardBudgetPolicy(), config=GatewayConfig())
+        assert gateway.session.engine.name == "vector"
 
     def test_degrade_policy_validates_tiers(self):
         with pytest.raises(ServingError):
             DegradePolicy(ladder=("cache", "teleport"))
+
+    @pytest.mark.parametrize("q", [-0.01, 1.5, float("nan")])
+    def test_admission_quantile_must_be_a_probability(self, q):
+        # EnergyDistribution.quantile accepts [0, 1]; a level outside it
+        # is rejected when the policy is built, not mid-run.
+        with pytest.raises(ServingError, match="admission_quantile"):
+            Policy(admission_quantile=q)
+
+    def test_admission_quantile_bounds_are_inclusive(self):
+        assert Policy(admission_quantile=0.0).admission_quantile == 0.0
+        assert Policy(admission_quantile=1.0).admission_quantile == 1.0
 
 
 class TestComponentHealth:

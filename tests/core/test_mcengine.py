@@ -2,15 +2,15 @@
 
 Three contracts, one file:
 
-* **replay identity** — at a fixed seed, serial, vectorized and every
-  sharded parallel run produce bitwise-identical draws, whether or not
-  the interface vectorizes (the fallback runs over the same columns);
+* **replay identity** — at a fixed seed, serial and vectorized runs
+  produce bitwise-identical draws, whether or not the interface
+  vectorizes (the fallback runs over the same columns);
 * **column sampling** — for every ECV kind, ``sample_n(rng, n)`` is
   bitwise-equal to ``n`` sequential ``sample()`` calls from an
   identically-seeded generator (the property the whole replay story
   rests on);
-* **integration** — budgets, hooks and the deprecation shims of the
-  unified ``evaluate()`` see batched evaluations as first-class events.
+* **integration** — budgets, hooks and the unified ``evaluate()`` see
+  batched evaluations as first-class events.
 """
 
 import warnings
@@ -33,7 +33,6 @@ from repro.core.interface import EnergyCall, EnergyInterface, evaluate
 from repro.core.mcengine import (
     ColumnStore,
     MCTask,
-    ParallelEngine,
     SerialEngine,
     VectorEngine,
     resolve_engine,
@@ -106,11 +105,6 @@ class TestReplayIdentity:
         serial = _draws(interface, "serial", args=args)
         vector = _draws(interface, "vector", args=args)
         assert np.array_equal(serial, vector)
-        for shards in (2, 4, 8):
-            sharded = _draws(interface, ParallelEngine(shards=shards),
-                             args=args)
-            assert np.array_equal(serial, sharded), (
-                f"{shards}-shard run diverged from serial")
 
     def test_different_seeds_differ(self):
         interface = VectorizableInterface()
@@ -148,8 +142,6 @@ class TestReplayIdentity:
         interface = NoisyInterface()
         serial = _draws(interface, "serial")
         assert np.array_equal(serial, _draws(interface, "vector"))
-        assert np.array_equal(
-            serial, _draws(interface, ParallelEngine(shards=4)))
 
 
 def _draws_with_session(interface, session, n=100):
@@ -217,7 +209,6 @@ class TestEngineBehaviour:
         assert resolve_engine(None).name == "vector"
         assert isinstance(resolve_engine("serial"), SerialEngine)
         assert isinstance(resolve_engine("vector"), VectorEngine)
-        assert isinstance(resolve_engine("parallel"), ParallelEngine)
         engine = VectorEngine()
         assert resolve_engine(engine) is engine
         with pytest.raises(EvaluationError):
@@ -237,22 +228,6 @@ class TestEngineBehaviour:
         with pytest.raises(EvaluationError, match="genuinely broken"):
             evaluate(BrokenInterface()("E_op", 1), session=session,
                      mode="distribution", n_samples=16)
-
-    def test_parallel_unpicklable_falls_back(self):
-        # A closure is unpicklable; the parallel engine must fall back to
-        # the in-process vectorized path and still honour the columns.
-        ecv = ContinuousECV("x", low=0.0, high=1.0)
-        iface = VectorizableInterface()
-
-        def fn():
-            return iface.E_op(8)
-
-        serial = EvalSession(seed=3, engine="serial")
-        parallel = EvalSession(seed=3, engine=ParallelEngine(shards=4))
-        a = evaluate(fn, session=serial, mode="distribution", n_samples=50)
-        b = evaluate(fn, session=parallel, mode="distribution", n_samples=50)
-        assert np.array_equal(a._samples, b._samples)
-        assert ecv is not None
 
     def test_column_store_is_per_occurrence(self):
         store = ColumnStore(entropy=42, n=16)
@@ -313,45 +288,6 @@ class TestUnifiedEvaluateAPI:
         assert call.method_name == "E_op"
         assert call.args == (8,)
         assert call.kwargs == (("extra", 1),)
-
-    def test_old_interface_evaluate_warns_and_matches(self):
-        interface = VectorizableInterface()
-        new = evaluate(interface("E_op", 8), mode="expected",
-                       session=EvalSession(seed=5))
-        with pytest.warns(DeprecationWarning, match="EnergyInterface.evaluate"):
-            old = interface.evaluate("E_op", 8, mode="expected",
-                                     session=EvalSession(seed=5))
-        assert old.as_joules == new.as_joules
-
-    def test_old_session_evaluate_warns_and_matches(self):
-        interface = VectorizableInterface()
-        new = evaluate(interface("E_op", 8),
-                       session=EvalSession(seed=5), mode="distribution")
-        with pytest.warns(DeprecationWarning, match="EvalSession.evaluate"):
-            old = EvalSession(seed=5).evaluate(interface, "E_op", 8,
-                                               mode="distribution")
-        assert np.array_equal(old._samples, new._samples)
-
-    def test_old_evaluate_fn_warns_and_matches(self):
-        interface = VectorizableInterface()
-
-        def fn():
-            return interface.E_op(8)
-
-        new = evaluate(fn, session=EvalSession(seed=5), mode="expected")
-        with pytest.warns(DeprecationWarning, match="evaluate_fn"):
-            old = EvalSession(seed=5).evaluate_fn(fn, mode="expected")
-        assert old.as_joules == new.as_joules
-
-    def test_moved_module_defaults_warn(self):
-        import repro.core.interface as interface_module
-
-        with pytest.warns(DeprecationWarning, match="DEFAULT_MAX_TRACES"):
-            value = interface_module.DEFAULT_MAX_TRACES
-        assert value == EvalSession.DEFAULT_MAX_TRACES
-        with pytest.warns(DeprecationWarning, match="DEFAULT_MC_SAMPLES"):
-            value = interface_module.DEFAULT_MC_SAMPLES
-        assert value == EvalSession.DEFAULT_N_SAMPLES
 
     def test_shorthands_do_not_warn(self):
         interface = VectorizableInterface()

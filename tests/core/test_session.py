@@ -2,7 +2,7 @@
 
 Four concerns, one file:
 
-* **backwards compatibility** — every pre-session call-site shape
+* **backwards compatibility** — every session-less call-site shape
   (``mode=``, ``env=``, ``rng=``, ``max_traces=``, the shorthands) must
   behave exactly as before when no session is given;
 * **deterministic replay** — equal-seed sessions agree, across Monte
@@ -115,18 +115,18 @@ def build_three_layer_stack():
 
 
 class TestBackwardsCompatibility:
-    """Lock the pre-session call sites: no session, same answers."""
+    """Lock the session-less call sites: no session, same answers."""
 
     def test_explicit_mode_and_env(self):
         iface = LeafInterface()
-        assert iface.evaluate("E_op", 3, mode="expected",
-                              env={"warm": True}).as_joules == 3.0
-        assert iface.evaluate("E_op", 3, mode="worst").as_joules == 6.0
-        assert iface.evaluate("E_op", 3, mode="best").as_joules == 3.0
+        assert evaluate(iface("E_op", 3), mode="expected",
+                        env={"warm": True}).as_joules == 3.0
+        assert evaluate(iface("E_op", 3), mode="worst").as_joules == 6.0
+        assert evaluate(iface("E_op", 3), mode="best").as_joules == 3.0
 
     def test_max_traces_kwarg_still_accepted(self):
         iface = LeafInterface()
-        value = iface.evaluate("E_op", 2, mode="expected", max_traces=16)
+        value = evaluate(iface("E_op", 2), mode="expected", max_traces=16)
         assert value.as_joules == pytest.approx(3.0)
 
     def test_shorthands_unchanged(self):
@@ -143,9 +143,9 @@ class TestBackwardsCompatibility:
 
     def test_explicit_rng_kwarg(self):
         iface = LoadInterface()
-        draws = [iface.evaluate("E_tick", 10.0, mode="expected",
-                                rng=np.random.default_rng(99),
-                                n_samples=300).as_joules
+        draws = [evaluate(iface("E_tick", 10.0), mode="expected",
+                          rng=np.random.default_rng(99),
+                          n_samples=300).as_joules
                  for _ in range(2)]
         assert draws[0] == draws[1]
 
@@ -157,7 +157,7 @@ class TestBackwardsCompatibility:
 
     def test_sample_mode_returns_a_branch_value(self):
         iface = LeafInterface()
-        value = iface.evaluate("E_op", 2, mode="sample")
+        value = evaluate(iface("E_op", 2), mode="sample")
         assert value.as_joules in (2.0, 4.0)
 
 

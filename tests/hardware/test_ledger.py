@@ -136,3 +136,64 @@ class TestLedger:
         # both halves; exclude that corner by checking one-sided bound.
         assert parts == pytest.approx(whole, rel=1e-9, abs=1e-9) or \
             parts >= whole
+
+
+def reference_energy_between(records, t0, t1, component=None, domain=None):
+    """The plain full scan ``EnergyLedger.energy_between`` must equal
+    bit for bit, however it reuses earlier sums."""
+    total = 0.0
+    for r in records:
+        if r.t_start > t1 or (r.t_end < t0 and r.duration > 0):
+            continue
+        if component is not None and r.component != component:
+            continue
+        if domain is not None and r.domain != domain:
+            continue
+        total += r.overlap_joules(t0, t1)
+    return total
+
+
+class TestCumulativeQueries:
+    @given(st.lists(st.one_of(
+        # Append a record: gap after the last start, duration, joules, which.
+        st.tuples(st.just("log"),
+                  st.floats(min_value=0.0, max_value=2.0),
+                  st.sampled_from([0.0, 0.001, 0.5, 3.0]),
+                  st.floats(min_value=0.0, max_value=50.0),
+                  st.sampled_from(["gpu0", "cpu0"])),
+        # Query [t0, t1] at several fractions of the horizon, rising and
+        # falling, optionally filtered.
+        st.tuples(st.just("query"),
+                  st.sampled_from([0.0, 0.0, 0.0, 1.0]),
+                  st.lists(st.floats(min_value=0.0, max_value=1.2),
+                           min_size=1, max_size=4),
+                  st.sampled_from([None, "gpu0", "cpu0"]),
+                  st.sampled_from([None, "board"]))),
+        min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_scan_bitwise(self, steps):
+        ledger = EnergyLedger()
+        start = 0.0
+        for kind, a, b, c, d in steps:
+            if kind == "log":
+                start += a
+                ledger.log(EnergyRecord(d, "board", start, start + b, c))
+                continue
+            for fraction in b:
+                t1 = max(a, fraction * ledger.horizon)
+                assert ledger.energy_between(a, t1, component=c, domain=d) \
+                    == reference_energy_between(ledger.records(), a, t1,
+                                                c, d)
+
+    def test_rising_counter_reads_repeat_exactly(self):
+        ledger = EnergyLedger()
+        for i in range(200):
+            ledger.log(record("gpu0", t0=i * 0.1, t1=i * 0.1 + 0.1,
+                              joules=0.1 * (i % 7 + 1)))
+            ledger.log(record("cpu0", t0=i * 0.1, t1=i * 0.1 + 0.35,
+                              joules=0.3))
+        for t in (1.0, 5.05, 5.05, 12.3, 3.3, 19.99, 25.0):
+            for component in ("gpu0", "cpu0", None):
+                assert ledger.energy_between(0.0, t, component) == \
+                    reference_energy_between(ledger.records(), 0.0, t,
+                                             component)

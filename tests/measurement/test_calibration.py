@@ -31,6 +31,14 @@ def build(spec=SIM4090, seed=1):
     return machine, gpu, NVMLSim(gpu, seed=seed)
 
 
+@pytest.fixture(scope="module")
+def model_4090():
+    """One full calibration of a fresh SIM4090 (seed 1), shared by the
+    tests that only read the fitted model."""
+    _, gpu, nvml = build()
+    return MicrobenchCalibrator().calibrate_device(gpu, nvml)
+
+
 class TestMicrobenchKernels:
     def test_pointer_chase_hit_levels(self):
         l1 = pointer_chase(32 * 1024)
@@ -114,9 +122,8 @@ class TestStaticAndLaunchMeasurement:
 
 
 class TestFit:
-    def test_full_calibration_recovers_unit_energies(self):
-        _, gpu, nvml = build()
-        model = MicrobenchCalibrator().calibrate_device(gpu, nvml)
+    def test_full_calibration_recovers_unit_energies(self, model_4090):
+        model = model_4090
         assert model.unit_energies["instructions"] == pytest.approx(
             SIM4090.e_instruction, rel=0.25)
         # e_vram absorbs the average hidden row cost, so compare loosely.
@@ -126,14 +133,12 @@ class TestFit:
                                                      rel=0.05)
         assert model.residual_rms < 0.05
 
-    def test_3070_has_higher_residual_than_4090(self):
+    def test_3070_has_higher_residual_than_4090(self, model_4090):
         """The hidden row cost is bigger on the 3070, so the linear model
         fits it worse — the seed of Table 1's asymmetry."""
-        _, gpu40, nvml40 = build(SIM4090)
         _, gpu30, nvml30 = build(SIM3070)
-        model40 = MicrobenchCalibrator().calibrate_device(gpu40, nvml40)
         model30 = MicrobenchCalibrator().calibrate_device(gpu30, nvml30)
-        assert model30.residual_rms > model40.residual_rms
+        assert model30.residual_rms > model_4090.residual_rms
 
     def test_predict_joules_linear(self):
         model = CalibratedModel("g", {m: 1.0 for m in METRICS}, 0.0, 6)
@@ -168,18 +173,16 @@ class TestFit:
         assert "busy_seconds" not in DYNAMIC_METRICS
         assert "busy_seconds" in METRICS
 
-    def test_describe_mentions_all_metrics(self):
-        _, gpu, nvml = build()
-        model = MicrobenchCalibrator().calibrate_device(gpu, nvml)
+    def test_describe_mentions_all_metrics(self, model_4090):
+        model = model_4090
         text = model.describe()
         for metric in METRICS:
             assert metric in text
 
 
 class TestPersistence:
-    def test_json_round_trip(self):
-        _, gpu, nvml = build()
-        model = MicrobenchCalibrator().calibrate_device(gpu, nvml)
+    def test_json_round_trip(self, model_4090):
+        model = model_4090
         restored = CalibratedModel.from_json(model.to_json())
         assert restored.gpu_name == model.gpu_name
         assert restored.unit_energies == model.unit_energies

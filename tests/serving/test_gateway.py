@@ -184,6 +184,12 @@ class TestGatewayBasics:
         assert (report.admitted + report.rejected
                 + report.shed_queue_full) == 6
 
+    @pytest.mark.parametrize("max_queue", [0, -1])
+    def test_queue_bound_must_hold_a_request(self, max_queue):
+        # A bound below 1 would shed every request and admit none.
+        with pytest.raises(ServingError, match="max_queue"):
+            GatewayConfig(max_queue=max_queue)
+
     def test_degrade_path(self):
         adapter = DegradableAdapter(joules_per_op=5.0, degraded_joules=0.5)
         budget = EnergyBudget("b", capacity_joules=2.0)

@@ -54,6 +54,15 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "predicted" in out and "measured" in out
 
+    @pytest.mark.parametrize("argv,needle", [
+        (["table1", "--trials", "0"], "--trials"),
+        (["mlservice", "--requests", "0"], "--requests"),
+    ])
+    def test_empty_runs_exit_2(self, capsys, argv, needle):
+        # Zero trials/requests leave nothing to average or divide by.
+        assert main(argv) == 2
+        _assert_one_line_usage_error(capsys, argv[0], needle)
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["warp-drive"])
@@ -336,6 +345,16 @@ class TestServeCommand:
         assert main(["serve", "--horizon", "-3"]) == 2
         assert "--horizon" in capsys.readouterr().err
 
+    def test_bad_quantile_exits_2(self, capsys):
+        assert main(["serve", "--policy", "quantile",
+                     "--quantile", "1.5"]) == 2
+        _assert_one_line_usage_error(capsys, "serve", "admission_quantile")
+
+    def test_bad_queue_exits_2(self, capsys):
+        for queue in ("0", "-1"):
+            assert main(["serve", "--queue", queue]) == 2
+            _assert_one_line_usage_error(capsys, "serve", "max_queue")
+
     def test_unknown_app_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["serve", "--app", "warp-drive"])
@@ -348,6 +367,33 @@ class TestServeCommand:
                      "--rate", "50", "--horizon", "1"]) == 0
         second = capsys.readouterr().out
         assert first != second
+
+
+def _assert_one_line_usage_error(capsys, command, needle):
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro-energy {command}: ")
+    assert err.count("\n") == 1 and needle in err
+    assert "Traceback" not in err
+
+
+class TestChaosCommand:
+    def test_smoke_run(self, capsys):
+        assert main(["chaos", "--rate", "50", "--horizon", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "chaos report" in out and "faults injected" in out
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["--retries", "0"], "max_attempts"),
+        (["--deadline", "-1"], "deadline"),
+        (["--fault-rate", "1.5"], "--fault-rate"),
+        (["--min-goodput", "2"], "--min-goodput"),
+        (["--rate", "0"], "--rate"),
+        (["--budget", "banana"], "budget spec"),
+        (["--queue", "0"], "max_queue"),
+    ])
+    def test_usage_errors_exit_2(self, capsys, argv, needle):
+        assert main(["chaos", *argv]) == 2
+        _assert_one_line_usage_error(capsys, "chaos", needle)
 
 
 class TestFleetCommand:
