@@ -170,7 +170,11 @@ def _cmd_fuzzing(args: argparse.Namespace) -> int:
         FuzzingCampaignModel,
         FuzzingEnergyInterface,
     )
+    from repro.core.errors import WorkloadError
 
+    if not 0.0 < args.coverage <= 1.0:
+        raise WorkloadError(
+            f"--coverage must be in (0, 1], got {args.coverage}")
     interface = FuzzingEnergyInterface(FuzzingCampaignModel())
     planner = CapacityPlanner(interface, max_machines=150,
                               deadline_seconds=args.deadline_days * 86400)
@@ -178,9 +182,10 @@ def _cmd_fuzzing(args: argparse.Namespace) -> int:
     print(f"optimal fleet for {args.coverage:.0%} coverage: "
           f"{answer.optimal_machines} machines "
           f"({answer.energy}, {answer.campaign_seconds / 86400:.2f} days)")
+    coverage_from = max(0.0, args.coverage - 0.05)
     marginal = planner.marginal_coverage_energy(
-        args.coverage - 0.05, args.coverage, answer.optimal_machines)
-    print(f"marginal energy {args.coverage - 0.05:.0%} -> "
+        coverage_from, args.coverage, answer.optimal_machines)
+    print(f"marginal energy {coverage_from:.0%} -> "
           f"{args.coverage:.0%}: {marginal}")
     return 0
 
@@ -370,6 +375,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if not 0.0 <= args.min_goodput <= 1.0:
         raise ServingError("--min-goodput must be in [0, 1]")
 
+    budgets = {f"tenant{i}": parse_budget_spec(args.budget)
+               for i in range(args.tenants)}
+    policy = Policy(replicas=args.replicas, balancer=args.balancer,
+                    lease_ttl_s=args.lease_ttl)
+
     rng = RngFactory(args.seed)
     if args.workload == "poisson":
         times = poisson_arrivals(args.rate, args.horizon,
@@ -385,10 +395,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     tenants = zipf_tenant_trace(len(times), args.tenants, rng)
     requests = fleet_request_trace(times, tenants, rng)
 
-    budgets = {f"tenant{i}": parse_budget_spec(args.budget)
-               for i in range(args.tenants)}
-    policy = Policy(replicas=args.replicas, balancer=args.balancer,
-                    lease_ttl_s=args.lease_ttl)
     fleet = EnergyGatewayFleet(budgets, policy=policy, entropy=args.seed)
     if args.fault_rate > 0:
         fleet.inject_faults(FaultPlan(

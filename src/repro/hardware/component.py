@@ -15,7 +15,7 @@ kinds of energy are accounted:
 from __future__ import annotations
 
 from repro.core.errors import HardwareError
-from repro.hardware.ledger import EnergyLedger, EnergyRecord
+from repro.hardware.ledger import EnergyLedger
 
 __all__ = ["Component"]
 
@@ -57,8 +57,7 @@ class Component:
         if self._ledger is None:
             raise HardwareError(f"component {self.name!r} is not attached to "
                                 f"a machine")
-        self._ledger.log(EnergyRecord(self.name, self.domain, t_start, t_end,
-                                      joules, tag))
+        self._ledger.log(self.name, self.domain, t_start, t_end, joules, tag)
 
     def static_power(self) -> float:
         """Static/idle power draw in Watts at this instant.

@@ -4,14 +4,14 @@ import pytest
 
 from repro.core.attribution import POLICIES, attribute
 from repro.core.errors import EnergyError
-from repro.hardware.ledger import EnergyLedger, EnergyRecord
+from repro.hardware.ledger import EnergyLedger
 
 
 def ledger_with(records):
     ledger = EnergyLedger()
     for component, tag, t0, t1, joules in sorted(records,
                                                  key=lambda r: r[2]):
-        ledger.log(EnergyRecord(component, "d", t0, t1, joules, tag))
+        ledger.log(component, "d", t0, t1, joules, tag)
     return ledger
 
 

@@ -32,6 +32,17 @@ class TestCLI:
         assert main(["fuzzing", "--coverage", "0.9",
                      "--deadline-days", "10"]) == 0
 
+    @pytest.mark.parametrize("coverage", ["0", "1.2"])
+    def test_fuzzing_coverage_out_of_range_exits_2(self, capsys, coverage):
+        assert main(["fuzzing", "--coverage", coverage]) == 2
+        _assert_one_line_usage_error(capsys, "fuzzing", "--coverage")
+        assert capsys.readouterr().out == ""
+
+    def test_fuzzing_low_coverage_starts_marginal_at_zero(self, capsys):
+        assert main(["fuzzing", "--coverage", "0.03"]) == 0
+        out = capsys.readouterr().out
+        assert "marginal energy 0% -> 3%" in out
+
     def test_calibrate_command(self, capsys):
         assert main(["calibrate", "--gpu", "sim3070"]) == 0
         out = capsys.readouterr().out
@@ -442,6 +453,29 @@ class TestFleetCommand:
         assert main(["fleet", "--min-goodput", "2"]) == 2
         assert main(["fleet", "--budget", "banana"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["--budget", "banana"],
+        ["--lease-ttl", "0"],
+        ["--balancer", "nope"],
+    ])
+    def test_bad_option_exits_2_before_any_trace(self, capsys, monkeypatch,
+                                                 argv):
+        import repro.workloads
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("arrival trace generated before the "
+                                 "options were checked")
+        for generator in ("poisson_arrivals", "flash_crowd_arrivals",
+                          "diurnal_arrivals"):
+            monkeypatch.setattr(repro.workloads, generator, no_trace)
+        try:
+            code = main(["fleet", "--rate", "5000", "--horizon", "60",
+                         *argv])
+        except SystemExit as exit_:  # argparse rejects --balancer itself
+            code = exit_.code
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_seed_replays_bitwise(self, capsys):
         args = ["--seed", "3", "fleet", "--rate", "100", "--horizon", "5",
