@@ -27,10 +27,13 @@ reader lives in :mod:`repro.measurement.nvml`.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, replace
 
 from repro.core.errors import HardwareError
 from repro.hardware.component import Component
+from repro.hardware.ledger import EnergyLedger
 from repro.hardware.thermal import LeakageModel, ThermalNode
 
 __all__ = ["GPUSpec", "KernelProfile", "GPUCounters", "GPU"]
@@ -38,6 +41,51 @@ __all__ = ["GPUSpec", "KernelProfile", "GPUCounters", "GPU"]
 #: Bytes per L2/VRAM sector and per L1 wavefront (Nvidia conventions).
 SECTOR_BYTES = 32
 WAVEFRONT_BYTES = 128
+
+#: Records :meth:`GPU.launch_many` stages before one ledger write: enough
+#: to amortise the call, few enough that the stage stays small.
+_STAGE_RECORDS = 4096
+
+_INF = math.inf
+
+
+class _Stage:
+    """Records on their way to one :meth:`EnergyLedger.log_many` call.
+
+    :meth:`log` takes :meth:`EnergyLedger.log`'s arguments, so during
+    :meth:`GPU.launch_many` the stage also stands in for the ledger of
+    the components whose ``on_advance`` it calls.
+    """
+
+    def __init__(self, ledger: EnergyLedger) -> None:
+        self.ledger = ledger
+        self.columns = ([], [], array("d"), array("d"), array("d"), [])
+
+    def log(self, component: str, domain: str, t_start: float, t_end: float,
+            joules: float, tag: str = "") -> None:
+        """Stage a record; one the ledger would refuse goes straight to
+        :meth:`EnergyLedger.log`, to raise there with the stage written."""
+        if not (-_INF < t_start <= t_end < _INF and 0.0 <= joules < _INF):
+            self.flush()
+            self.ledger.log(component, domain, t_start, t_end, joules, tag)
+            return
+        components, domains, starts, ends, values, tags = self.columns
+        components.append(component)
+        domains.append(domain)
+        starts.append(t_start)
+        ends.append(t_end)
+        values.append(joules)
+        tags.append(tag)
+
+    def flush(self) -> None:
+        """Write what is staged; the stage is empty even if that raises."""
+        if not self.columns[2]:
+            return
+        try:
+            self.ledger.log_many(*self.columns)
+        finally:
+            for column in self.columns:
+                del column[:]
 
 
 @dataclass(frozen=True)
@@ -184,13 +232,13 @@ class GPU(Component):
         )
         return max(times) + spec.kernel_launch_latency
 
-    def kernel_dynamic_energy(self, kernel: KernelProfile) -> float:
-        """Ground-truth dynamic Joules for one launch (incl. hidden row cost)."""
+    def _spec_dynamic_energy(self, kernel: KernelProfile) -> float:
+        """Dynamic Joules for one launch at the spec's energies (no drift)."""
         spec = self.spec
         row_fraction = (kernel.row_miss_fraction
                         if kernel.row_miss_fraction is not None
                         else spec.row_miss_fraction_default)
-        joules = (
+        return (
             kernel.instructions * spec.e_instruction
             + kernel.l1_wavefronts * spec.e_l1_wavefront
             + kernel.l2_sectors * spec.e_l2_sector
@@ -198,6 +246,10 @@ class GPU(Component):
             + kernel.vram_sectors * row_fraction * spec.e_vram_row_activate
             + spec.e_kernel_launch
         )
+
+    def kernel_dynamic_energy(self, kernel: KernelProfile) -> float:
+        """Ground-truth dynamic Joules for one launch (incl. hidden row cost)."""
+        joules = self._spec_dynamic_energy(kernel)
         if self.drift is not None:
             joules *= self.drift.energy_factor(self.now)
         return joules
@@ -224,6 +276,158 @@ class GPU(Component):
         counters.busy_seconds += duration
         self.machine.advance(duration)
         return duration
+
+    def launch_many(self, kernel: KernelProfile, *, min_launches: int = 0,
+                    min_seconds: float = 0.0, tag: str | None = None) -> int:
+        """Launch ``kernel`` back to back; returns how many launches ran.
+
+        Launches while fewer than ``min_launches`` have run or less than
+        ``min_seconds`` of machine time has passed, as a microbenchmark
+        sweep does.  The ledger, clock, counters and temperatures end
+        bitwise where the same :meth:`launch` calls would leave them: one
+        loop does each launch's dynamic energy, clock step, static power,
+        leakage, drift and thermal step in :meth:`launch`'s order, and
+        every other component's clock step in attachment order.  A
+        component that only draws :meth:`static_power` (the base
+        :meth:`Component.on_advance`) is accounted inline; any other gets
+        its ``on_advance`` call.  Records are staged and written with
+        :meth:`EnergyLedger.log_many` a few thousand at a time.
+        """
+        if not (0 <= min_launches < _INF and 0.0 <= min_seconds < _INF):
+            raise HardwareError(
+                f"launch_many needs finite bounds >= 0, got "
+                f"min_launches={min_launches}, min_seconds={min_seconds}")
+        duration = self.kernel_duration(kernel)
+        if not 0.0 <= duration < _INF:
+            raise HardwareError(
+                f"kernel {kernel.name!r} has duration {duration} s")
+        if duration == 0.0 and min_seconds > 0.0:
+            raise HardwareError(
+                f"kernel {kernel.name!r} takes no time, so "
+                f"min_seconds={min_seconds} is never reached")
+        tag = tag if tag is not None else kernel.name
+        machine, ledger = self.machine, self._ledger
+        stage = _Stage(ledger)
+        log, staged = stage.log, stage.columns[2]
+        # This GPU's own records go straight into the stage's columns.
+        (add_component, add_domain, add_start, add_end, add_joules,
+         add_tag) = (column.append for column in stage.columns)
+        name, domain = self.name, self.domain
+        spec_joules = self._spec_dynamic_energy(kernel)
+        drift, thermal = self.drift, self.thermal
+        p_static = self.spec.p_static_w
+        leak_k, leak_ref = self.leakage.coefficient, self.leakage.t_ref
+        r_thermal, c_thermal = thermal.r_thermal, thermal.c_thermal
+        quarter_tau = 0.25 * (r_thermal * c_thermal)
+        # Each component's clock step, in attachment order: this GPU
+        # (None), a static_power() draw (True) or its on_advance (False).
+        plan = [(component, None if component is self else
+                 type(component).on_advance is Component.on_advance)
+                for component in machine.components]
+        # The rest log through the stage too, so records keep their order.
+        foreign = [component for component, static_only in plan
+                   if static_only is False]
+        for component in foreign:
+            component._ledger = stage
+        # The counters add up in locals, written back however the loop ends.
+        counters = self.counters
+        instructions = counters.instructions
+        l1_wavefronts = counters.l1_wavefronts
+        l2_sectors = counters.l2_sectors
+        vram_sectors = counters.vram_sectors
+        busy_seconds = counters.busy_seconds
+        launched = counters.kernel_launches
+        k_instructions = kernel.instructions
+        k_l1_wavefronts = kernel.l1_wavefronts
+        k_l2_sectors = kernel.l2_sectors
+        k_vram_sectors = kernel.vram_sectors
+        launches = 0
+        t_begin = now = machine.now
+        try:
+            while launches < min_launches or now - t_begin < min_seconds:
+                t_start = now
+                joules = spec_joules
+                if drift is not None:
+                    joules *= drift.energy_factor(t_start)
+                t_end = t_start + duration
+                if 0.0 <= joules < _INF and t_end < _INF:
+                    add_component(name)
+                    add_domain(domain)
+                    add_start(t_start)
+                    add_end(t_end)
+                    add_joules(joules)
+                    add_tag(tag)
+                else:
+                    log(name, domain, t_start, t_end, joules, tag)
+                thermal._pending_joules += joules
+                instructions += k_instructions
+                l1_wavefronts += k_l1_wavefronts
+                l2_sectors += k_l2_sectors
+                vram_sectors += k_vram_sectors
+                busy_seconds += duration
+                launches += 1
+                if duration == 0.0:
+                    # Machine.advance returns early on a zero step.
+                    continue
+                machine._now = now = t_end
+                dt = t_end - t_start
+                for component, static_only in plan:
+                    if static_only is False:
+                        component.on_advance(t_start, t_end)
+                    elif dt <= 0:
+                        continue
+                    elif static_only:
+                        power = component.static_power()
+                        if power > 0:
+                            log(component.name, component.domain, t_start,
+                                t_end, power * dt, "static")
+                    else:
+                        # on_advance, static_power, LeakageModel.factor and
+                        # ThermalNode.step, in that order.
+                        if drift is not None:
+                            drift.advance(thermal, t_start)
+                        leak = 1.0 + leak_k * (thermal.temperature - leak_ref)
+                        power = p_static * (leak if leak > 0.0 else 0.0)
+                        if drift is not None:
+                            power *= drift.static_factor(t_end)
+                        static = power * dt
+                        heat = thermal._pending_joules
+                        if static > 0:
+                            if static < _INF:
+                                add_component(name)
+                                add_domain(domain)
+                                add_start(t_start)
+                                add_end(t_end)
+                                add_joules(static)
+                                add_tag("static")
+                            else:
+                                log(name, domain, t_start, t_end, static,
+                                    "static")
+                            heat += static
+                        power_in = heat / dt
+                        thermal._pending_joules = 0.0
+                        substeps = int(dt / quarter_tau) + 1
+                        h = dt / substeps
+                        temperature = thermal.temperature
+                        t_ambient = thermal.t_ambient
+                        for _ in range(substeps):
+                            cooling = (temperature - t_ambient) / r_thermal
+                            temperature += (h * (power_in - cooling)
+                                            / c_thermal)
+                        thermal.temperature = temperature
+                if len(staged) >= _STAGE_RECORDS:
+                    stage.flush()
+        finally:
+            counters.instructions = instructions
+            counters.l1_wavefronts = l1_wavefronts
+            counters.l2_sectors = l2_sectors
+            counters.vram_sectors = vram_sectors
+            counters.busy_seconds = busy_seconds
+            counters.kernel_launches = launched + launches
+            for component in foreign:
+                component._ledger = ledger
+            stage.flush()
+        return launches
 
     def idle(self, dt: float) -> None:
         """Let the GPU sit idle for ``dt`` seconds (static power accrues)."""

@@ -16,14 +16,17 @@ answer windowed queries (``energy_between``) and instantaneous power
 queries (``power_at``) by pro-rating.
 
 The ledger is columnar: record *i* is ``t_start``, ``t_end`` and
-``joules`` at index *i* of three ``array('d')`` columns, and component,
-domain and tag at index *i* of three lists of string references.  No
-per-record object is kept, so logging appends six values instead of
-building a GC-tracked object.  :meth:`EnergyLedger.log` keeps a running
+``joules`` at index *i* of three ``array('d')`` columns, and its
+``(component, domain, tag)`` key at index *i* of a list that holds one
+shared tuple per distinct key.  No per-record object is kept, so logging
+appends four values instead of building a GC-tracked object, and a
+record costs 32 bytes.  :meth:`EnergyLedger.log` keeps a running
 total in record order, the same left fold a scan would do, so the
 unfiltered :meth:`EnergyLedger.total_joules` costs O(1).  Windowed and
 filtered queries scan the columns; :meth:`EnergyLedger.records` builds
 :class:`EnergyRecord` objects only when a caller asks for them.
+:meth:`EnergyLedger.log_many` appends a batch of records with one
+extend per column, checked as :meth:`EnergyLedger.log` checks them.
 """
 
 from __future__ import annotations
@@ -32,16 +35,26 @@ import bisect
 import math
 from array import array
 from dataclasses import dataclass
-from sys import intern
+from typing import Sequence
 
 from repro.core.errors import HardwareError
 
 __all__ = ["EnergyRecord", "EnergyLedger"]
 
+_INF = math.inf
+
 
 def _check_record(component: str, t_start: float, t_end: float,
                  joules: float) -> None:
     """Raise :class:`HardwareError` if no record may hold these values."""
+    if -_INF < t_start <= t_end < _INF and 0.0 <= joules < _INF:
+        # The common case, in one chained comparison (NaN fails it).
+        return
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        # A NaN start would also pass every later start-order check.
+        raise HardwareError(
+            f"energy record for {component!r} has non-finite interval "
+            f"[{t_start}, {t_end}]")
     if t_end < t_start:
         raise HardwareError(
             f"energy record for {component!r} has inverted interval "
@@ -100,9 +113,9 @@ class EnergyLedger:
         self._starts = array("d")
         self._ends = array("d")
         self._joules = array("d")
-        self._components: list[str] = []
-        self._domains: list[str] = []
-        self._tags: list[str] = []
+        # Record i's (component, domain, tag), one shared tuple per key.
+        self._keys: list[tuple[str, str, str]] = []
+        self._key_of: dict[tuple[str, str, str], tuple[str, str, str]] = {}
         self._total = 0.0
         self._max_end = 0.0
         self._max_duration = 0.0
@@ -126,14 +139,13 @@ class EnergyLedger:
                 f"energy records must be appended in start-time order; got "
                 f"t_start={t_start} after {starts[-1]}")
         # Tags are often built per call (f"microbench:{name}"); one shared
-        # string per distinct value halves the memory of a long ledger.
-        component, domain, tag = intern(component), intern(domain), intern(tag)
+        # key per distinct value keeps a long ledger at 32 bytes a record.
+        key = (component, domain, tag)
+        key = self._key_of.setdefault(key, key)
         starts.append(t_start)
         self._ends.append(t_end)
         self._joules.append(joules)
-        self._components.append(component)
-        self._domains.append(domain)
-        self._tags.append(tag)
+        self._keys.append(key)
         # The left fold sum() does on Python 3.11; 3.12 compensates.
         self._total += joules
         # Runs once per record: plain comparisons are cheaper than max().
@@ -141,6 +153,47 @@ class EnergyLedger:
             self._max_end = t_end
         if t_end - t_start > self._max_duration:
             self._max_duration = t_end - t_start
+
+    def log_many(self, components: Sequence[str], domains: Sequence[str],
+                 t_starts: Sequence[float], t_ends: Sequence[float],
+                 joules: Sequence[float], tags: Sequence[str]) -> None:
+        """Append records given as six equal-length columns, in order.
+
+        Stores what the same :meth:`log` calls would, running total
+        included, but checks every record before it writes any column:
+        on a :class:`HardwareError` nothing is stored.
+        """
+        n = len(t_starts)
+        if not (len(components) == len(domains) == len(t_ends)
+                == len(joules) == len(tags) == n):
+            raise HardwareError("log_many needs columns of equal length")
+        starts = self._starts
+        last = starts[-1] if starts else -_INF
+        total, max_end = self._total, self._max_end
+        max_duration = self._max_duration
+        for component, t_start, t_end, value in zip(components, t_starts,
+                                                    t_ends, joules):
+            _check_record(component, t_start, t_end, value)
+            if t_start < last:
+                raise HardwareError(
+                    f"energy records must be appended in start-time order; "
+                    f"got t_start={t_start} after {last}")
+            last = t_start
+            total += value
+            if t_end > max_end:
+                max_end = t_end
+            if t_end - t_start > max_duration:
+                max_duration = t_end - t_start
+        key_of = self._key_of
+        for key in set(zip(components, domains, tags)).difference(key_of):
+            key_of[key] = key
+        starts.extend(t_starts)
+        self._ends.extend(t_ends)
+        self._joules.extend(joules)
+        self._keys.extend(map(key_of.__getitem__,
+                              zip(components, domains, tags)))
+        self._total, self._max_end = total, max_end
+        self._max_duration = max_duration
 
     def log_reading(self, component: str, domain: str, t_start: float,
                     t_end: float, joules: float, tag: str = ""
@@ -170,19 +223,18 @@ class EnergyLedger:
         """Indices of the records matching the filters, in record order."""
         if component is None and domain is None:
             return range(len(self._starts))
-        components, domains = self._components, self._domains
-        return [i for i in range(len(components))
-                if (component is None or components[i] == component)
-                and (domain is None or domains[i] == domain)]
+        keys = self._keys
+        return [i for i in range(len(keys))
+                if (component is None or keys[i][0] == component)
+                and (domain is None or keys[i][1] == domain)]
 
     def records(self, component: str | None = None,
                 domain: str | None = None) -> list[EnergyRecord]:
         """All records, optionally filtered by component and/or domain."""
         starts, ends, joules = self._starts, self._ends, self._joules
-        components, domains, tags = (self._components, self._domains,
-                                     self._tags)
-        return [EnergyRecord(components[i], domains[i], starts[i], ends[i],
-                             joules[i], tags[i])
+        keys = self._keys
+        return [EnergyRecord(keys[i][0], keys[i][1], starts[i], ends[i],
+                             joules[i], keys[i][2])
                 for i in self._select(component, domain)]
 
     def total_joules(self, component: str | None = None,
@@ -223,8 +275,7 @@ class EnergyLedger:
         if cached is not None and cached[2] <= t1:
             index, total, prefix_end = cached
         settled = key is not None
-        ends, joules = self._ends, self._joules
-        components, domains = self._components, self._domains
+        ends, joules, record_keys = self._ends, self._joules, self._keys
         for i in range(index, stop):
             end = ends[i]
             if settled:
@@ -238,9 +289,9 @@ class EnergyLedger:
             duration = end - start
             if end < t0 and duration > 0:
                 continue
-            if component is not None and components[i] != component:
+            if component is not None and record_keys[i][0] != component:
                 continue
-            if domain is not None and domains[i] != domain:
+            if domain is not None and record_keys[i][1] != domain:
                 continue
             if duration == 0.0:
                 # Instantaneous record: counts if its instant is in the window.
@@ -261,7 +312,7 @@ class EnergyLedger:
                  domain: str | None = None) -> float:
         """Instantaneous power at time ``t`` (sum of covering records)."""
         starts, ends, joules = self._starts, self._ends, self._joules
-        components, domains = self._components, self._domains
+        keys = self._keys
         # As in energy_between: no record starting before t - max_duration
         # is still running at t.
         begin = bisect.bisect_left(starts, t - self._max_duration)
@@ -272,9 +323,9 @@ class EnergyLedger:
             duration = end - starts[i]
             if end <= t or duration == 0.0:
                 continue
-            if component is not None and components[i] != component:
+            if component is not None and keys[i][0] != component:
                 continue
-            if domain is not None and domains[i] != domain:
+            if domain is not None and keys[i][1] != domain:
                 continue
             power += joules[i] / duration
         return power
@@ -282,16 +333,17 @@ class EnergyLedger:
     def by_component(self) -> dict[str, float]:
         """Total Joules per component — the attribution breakdown."""
         totals: dict[str, float] = {}
-        for name, joules in zip(self._components, self._joules):
+        for (name, _, _), joules in zip(self._keys, self._joules):
             totals[name] = totals.get(name, 0.0) + joules
         return totals
 
     def by_tag(self, component: str | None = None) -> dict[str, float]:
         """Total Joules per tag, optionally for a single component."""
         totals: dict[str, float] = {}
-        tags, joules = self._tags, self._joules
+        keys, joules = self._keys, self._joules
         for i in self._select(component, None):
-            totals[tags[i]] = totals.get(tags[i], 0.0) + joules[i]
+            tag = keys[i][2]
+            totals[tag] = totals.get(tag, 0.0) + joules[i]
         return totals
 
     @property

@@ -5,7 +5,12 @@ styles coexist:
 
 * **Sequential** (microbenchmarks, LLM inference): operations like
   ``gpu.launch(kernel)`` log their activity and advance the clock
-  themselves.
+  themselves.  A microbenchmark sweep calls
+  ``gpu.launch_many(kernel, min_launches=..., min_seconds=...)``
+  instead: one loop that does what those launches and clock steps would,
+  every component's static power included, bitwise, and writes the
+  records to the ledger a few thousand at a time with
+  :meth:`~repro.hardware.ledger.EnergyLedger.log_many`.
 * **Event-driven** (schedulers, request loops): a discrete-event
   simulation logs activities with explicit timestamps and calls
   :meth:`Machine.advance_to` as its clock progresses; static power is
@@ -17,6 +22,7 @@ measurement channels in :mod:`repro.measurement` then observe imperfectly.
 
 from __future__ import annotations
 
+import math
 from typing import TypeVar
 
 from repro.core.errors import HardwareError
@@ -70,7 +76,8 @@ class Machine:
 
     def advance(self, dt: float) -> float:
         """Advance the clock by ``dt`` seconds, integrating static power."""
-        if dt < 0:
+        # One chained comparison rejects negative, NaN and infinite steps.
+        if not 0.0 <= dt < math.inf:
             raise HardwareError(f"cannot advance the clock by {dt} s")
         if dt == 0:
             return self._now

@@ -18,6 +18,7 @@ is one of the honest error sources benchmark T1 quantifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,8 +194,10 @@ def measure_static_power(gpu, nvml, seconds: float = 2.0,
     device's *current* temperature — calibrating cold and predicting hot
     leaves a leakage gap, which is part of the realistic error budget.
     """
-    if seconds <= 0:
-        raise MeasurementError("idle measurement needs a positive duration")
+    if not 0.0 < seconds < math.inf:
+        raise MeasurementError(
+            f"idle measurement needs a finite positive duration, got "
+            f"{seconds} s")
     gpu.idle(settle_seconds)
     t_start = gpu.now
     gpu.idle(seconds)
@@ -212,14 +215,14 @@ def measure_launch_energy(gpu, nvml, static_power_w: float,
     """
     from repro.hardware.gpu import KernelProfile
 
-    if seconds <= 0:
-        raise MeasurementError("launch measurement needs a positive duration")
+    if not 0.0 < seconds < math.inf:
+        raise MeasurementError(
+            f"launch measurement needs a finite positive duration, got "
+            f"{seconds} s")
     empty = KernelProfile("empty", instructions=32, row_miss_fraction=0.0)
     t_start = gpu.now
-    launches = 0
-    while gpu.now - t_start < seconds:
-        gpu.launch(empty, tag="microbench:empty")
-        launches += 1
+    launches = gpu.launch_many(empty, min_seconds=seconds,
+                               tag="microbench:empty")
     measured = nvml.measure_interval(t_start, gpu.now)
     dynamic = measured - static_power_w * (gpu.now - t_start)
     return max(dynamic / launches, 0.0)

@@ -21,6 +21,7 @@ carry realistic calibration error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.errors import MeasurementError
@@ -149,18 +150,19 @@ def run_suite(gpu: GPU, nvml: NVMLSim,
     """
     if repeats < 1:
         raise MeasurementError("repeats must be >= 1")
-    if min_measure_seconds <= 0:
-        raise MeasurementError("min_measure_seconds must be positive")
+    if not 0.0 < min_measure_seconds < math.inf:
+        raise MeasurementError(
+            f"min_measure_seconds must be finite and positive, got "
+            f"{min_measure_seconds}")
     kernels = suite if suite is not None else default_suite()
     samples: list[MicrobenchSample] = []
     for kernel in kernels:
         gpu.idle(settle_seconds)
         before_counters = gpu.counters.snapshot()
         t_start = gpu.now
-        launches = 0
-        while launches < repeats or gpu.now - t_start < min_measure_seconds:
-            gpu.launch(kernel, tag=f"microbench:{kernel.name}")
-            launches += 1
+        gpu.launch_many(kernel, min_launches=repeats,
+                        min_seconds=min_measure_seconds,
+                        tag=f"microbench:{kernel.name}")
         t_end = gpu.now
         delta = gpu.counters.delta(before_counters)
         measured = nvml.measure_interval(t_start, t_end)

@@ -4,8 +4,9 @@ A copy of ``repro.hardware.ledger`` as it was before the ledger became
 columnar: one frozen :class:`EnergyRecord` per record, and every query a
 scan over the record list.  ``test_ledger.py`` drives it and the real
 ledger through the same operations and requires equal answers, bit for
-bit.  The only change is ``total_joules``, which folds left explicitly,
-as ``sum()`` did on Python 3.11.
+bit.  Two things changed: ``total_joules`` folds left explicitly, as
+``sum()`` did on Python 3.11, and a record with a non-finite timestamp
+is refused, as the real ledger now refuses it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ class EnergyRecord:
     tag: str = ""
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise HardwareError(
+                f"energy record for {self.component!r} has non-finite "
+                f"interval [{self.t_start}, {self.t_end}]")
         if self.t_end < self.t_start:
             raise HardwareError(
                 f"energy record for {self.component!r} has inverted interval "

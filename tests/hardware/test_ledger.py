@@ -1,5 +1,6 @@
 """Tests for the ground-truth energy ledger."""
 
+import copy
 import struct
 
 import pytest
@@ -117,6 +118,28 @@ class TestLedger:
         ledger.log("c", "d", 0.0, 5.0, 1.0)
         ledger.log("c", "d", 1.0, 2.0, 1.0)
         assert ledger.horizon == 5.0
+
+    @pytest.mark.parametrize("t0, t1", [(1.0, float("nan")),
+                                        (float("nan"), 2.0),
+                                        (float("-inf"), 2.0),
+                                        (1.0, float("inf"))])
+    def test_non_finite_timestamps_rejected(self, t0, t1):
+        ledger = EnergyLedger()
+        ledger.log("c", "d", 0.25, 0.5, 1.0)
+        with pytest.raises(HardwareError, match="non-finite interval"):
+            ledger.log("c", "d", t0, t1, 1.0)
+        assert ledger.log_reading("c", "d", t0, t1, 1.0) is None
+        assert ledger.dropped == {"c": 1}
+        # The start column stays sorted, so windowed queries stay finite.
+        ledger.log("c", "d", 0.5, 0.6, 1.0)
+        assert ledger.power_at(0.55) == pytest.approx(10.0)
+        assert ledger.energy_between(0.0, 2.0) == 2.0
+
+    def test_log_many_needs_equal_columns(self):
+        ledger = EnergyLedger()
+        with pytest.raises(HardwareError, match="equal length"):
+            ledger.log_many(["c"], ["d"], [0.0, 1.0], [1.0], [1.0], [""])
+        assert len(ledger) == 0
 
     def test_total_is_a_left_fold_on_every_python(self):
         """1e16 + 1 rounds back to 1e16 at each step of a left fold; a
@@ -256,22 +279,48 @@ steps = st.one_of(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 3.0]),
 joules_values = st.one_of(st.sampled_from([0.0, 0.1, 1.0, 7.5]),
                           st.floats(min_value=0.0, max_value=100.0))
 garbage = st.sampled_from([float("nan"), float("inf"), -1.0, -0.0])
+time_garbage = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def log_batch(ledger, oracle, start, fields):
+    """``log_many`` one batch; the oracle logs it record by record, and
+    keeps it only if every record goes in.  Returns the last start and
+    the oracle."""
+    columns, trial, t0 = [], copy.deepcopy(oracle), start
+    try:
+        for gap, duration, joules, component, domain, tag in fields:
+            t0 += gap
+            columns.append((component, domain, t0, t0 + duration, joules,
+                            tag))
+            trial.log(scan_ledger.EnergyRecord(*columns[-1]))
+    except HardwareError as expected:
+        with pytest.raises(HardwareError) as raised:
+            ledger.log_many(*zip(*columns))
+        assert str(raised.value) == str(expected)
+        return start, oracle
+    ledger.log_many(*zip(*columns))
+    return t0, trial
+
+
+# A record: start offset from the last start (negative = out of order,
+# garbage = non-finite), duration (negative = inverted), joules (garbage
+# included), component, domain, tag.
+record_fields = st.tuples(st.one_of(steps, st.just(-0.5), time_garbage),
+                          st.one_of(steps, st.just(-1.0), time_garbage),
+                          st.one_of(joules_values, garbage),
+                          st.sampled_from(["gpu0", "cpu0"]),
+                          st.sampled_from(["board", "pkg"]),
+                          st.sampled_from(["", "static", "kernel"]))
 
 
 class TestAgainstScanLedger:
     """The columnar ledger against the object-per-record scan it replaced."""
 
     @given(st.lists(st.one_of(
-        # A record or meter reading: start offset from the last start
-        # (negative = out of order), duration (negative = inverted),
-        # joules (garbage included), component, domain, tag.
-        st.tuples(st.sampled_from(["log", "reading"]),
-                  st.one_of(steps, st.just(-0.5)),
-                  st.one_of(steps, st.just(-1.0)),
-                  st.one_of(joules_values, garbage),
-                  st.sampled_from(["gpu0", "cpu0"]),
-                  st.sampled_from(["board", "pkg"]),
-                  st.sampled_from(["", "static", "kernel"])),
+        # A record, a meter reading, or a log_many batch of records.
+        st.tuples(st.sampled_from(["log", "reading"]), record_fields),
+        st.tuples(st.just("batch"),
+                  st.lists(record_fields, min_size=1, max_size=4)),
         # Queries over windows whose ends are record edges or fractions
         # of the horizon, so cached cumulative reads are exercised too.
         st.tuples(st.just("query"),
@@ -292,7 +341,10 @@ class TestAgainstScanLedger:
                            for i, j in op[1]]
                 assert_same_answers(ledger, oracle, windows)
                 continue
-            kind, gap, duration, joules, component, domain, tag = op
+            if op[0] == "batch":
+                start, oracle = log_batch(ledger, oracle, start, op[1])
+                continue
+            kind, (gap, duration, joules, component, domain, tag) = op
             t0 = start + gap
             t1 = t0 + duration
             if kind == "reading":

@@ -149,6 +149,16 @@ class TestMachine:
         with pytest.raises(HardwareError):
             machine.advance(-0.1)
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_clock_rejects_non_finite_step(self, step):
+        machine, dram = build_dram()
+        machine.advance(1.0)
+        for move in (machine.advance, lambda t: machine.advance_to(1.0 + t)):
+            with pytest.raises(HardwareError, match="cannot advance"):
+                move(step)
+        assert machine.now == 1.0
+        assert len(machine.ledger) == 1
+
     def test_unattached_component_cannot_log(self):
         dram = DRAM("loose")
         with pytest.raises(HardwareError):

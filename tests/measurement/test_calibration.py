@@ -102,6 +102,13 @@ class TestRunSuite:
         with pytest.raises(MeasurementError):
             run_suite(gpu, nvml, min_measure_seconds=0.0)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_time_bound_must_be_finite(self, seconds):
+        machine, gpu, nvml = build()
+        with pytest.raises(MeasurementError):
+            run_suite(gpu, nvml, min_measure_seconds=seconds)
+        assert machine.now == 0.0
+
 
 class TestStaticAndLaunchMeasurement:
     def test_static_power_estimate(self):
@@ -119,6 +126,15 @@ class TestStaticAndLaunchMeasurement:
         _, gpu, nvml = build()
         with pytest.raises(MeasurementError):
             measure_static_power(gpu, nvml, seconds=0.0)
+
+    @pytest.mark.parametrize("seconds", [0.0, float("nan"), float("inf")])
+    def test_sweeps_need_finite_positive_duration(self, seconds):
+        machine, gpu, nvml = build()
+        with pytest.raises(MeasurementError):
+            measure_static_power(gpu, nvml, seconds=seconds)
+        with pytest.raises(MeasurementError):
+            measure_launch_energy(gpu, nvml, 55.0, seconds=seconds)
+        assert machine.now == 0.0
 
 
 class TestFit:
