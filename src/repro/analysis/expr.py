@@ -17,12 +17,15 @@ of ECVs: state the input does not determine.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.errors import ExtractionError
 
 __all__ = ["Expr", "Const", "Var", "FreshSymbol", "ECVLeaf", "BinOp",
-           "Compare", "UnaryOp", "EnergyTerm", "as_expr", "evaluate_expr"]
+           "Compare", "UnaryOp", "EnergyTerm", "as_expr", "evaluate_expr",
+           "tracing"]
 
 _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
     "+": lambda a, b: a + b,
@@ -49,6 +52,30 @@ _UNARY: dict[str, Callable[[Any], Any]] = {
 }
 
 _fresh_counter = itertools.count()
+
+#: Operators that can raise on a concrete Python operand (a zero
+#: divisor, an overflowing or complex power).
+_PARTIAL_OPS = frozenset({"/", "//", "%", "**"})
+
+#: The tracer that answers symbolic branches, when one is active.
+_TRACER: ContextVar[Any] = ContextVar("expr_tracer", default=None)
+
+
+@contextmanager
+def tracing(tracer: Any) -> Iterator[None]:
+    """Route symbolic branches and partial operations to ``tracer``.
+
+    Inside the block ``bool()`` of a :class:`Compare` returns
+    ``tracer.decide(compare)``, and every new ``/``, ``//``, ``%`` or
+    ``**`` :class:`BinOp` is passed to ``tracer.note``.
+    Outside it a symbolic comparison in a boolean context raises, exactly
+    as any other symbolic value does.
+    """
+    token = _TRACER.set(tracer)
+    try:
+        yield
+    finally:
+        _TRACER.reset(token)
 
 
 class Expr:
@@ -240,6 +267,10 @@ class BinOp(Expr):
         self.op = op
         self.left = left
         self.right = right
+        if op in _PARTIAL_OPS:
+            tracer = _TRACER.get()
+            if tracer is not None:
+                tracer.note(self)
 
     def free_variables(self) -> set[str]:
         return self.left.free_variables() | self.right.free_variables()
@@ -263,6 +294,12 @@ class Compare(Expr):
         complement = {"<": ">=", "<=": ">", ">": "<=", ">=": "<",
                       "==": "!=", "!=": "=="}
         return Compare(complement[self.op], self.left, self.right)
+
+    def __bool__(self):
+        tracer = _TRACER.get()
+        if tracer is None:
+            return super().__bool__()
+        return tracer.decide(self)
 
     def free_variables(self) -> set[str]:
         return self.left.free_variables() | self.right.free_variables()

@@ -130,6 +130,9 @@ def interval_of(expr: Expr, env: Mapping[str, Interval],
                                 math.floor(scaled.hi)
                                 if math.isfinite(scaled.hi) else scaled.hi)
             return scaled
+        if expr.op == "/" and (right.lo > 0 or right.hi < 0):
+            # A divisor interval that excludes zero: 1/x is monotone on it.
+            return left * Interval(1.0 / right.hi, 1.0 / right.lo)
         if expr.op == "%" and right.is_point and right.lo > 0:
             return Interval(0.0, right.lo)
         if (expr.op == "**" and right.is_point

@@ -602,7 +602,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             elif row["tier"] == "analytic":
                 detail = f"mean {row['mean_j']:.6g} J"
             else:
-                detail = row.get("kernel", "")
+                # A predicated kernel is a multi-line ``def``.
+                detail = " ".join(row.get("kernel", "").split())
             if len(detail) > 60:
                 detail = detail[:57] + "..."
             table.append([row["target"], row["interface"], row["method"],

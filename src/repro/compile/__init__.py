@@ -4,10 +4,13 @@ The ROADMAP's "compile energy interfaces" item (§5): a partial evaluator
 over the symbolic-expression toolchain that turns an interface method
 plus bound ECV distributions into a
 :class:`~repro.compile.compiler.CompiledInterface` — an exact analytic
-output distribution where the body is affine, a straight-line numpy
-kernel (bitwise equal to the vector Monte Carlo engine) where it is
-branch-free, and an honest fallback to sampling where it is genuinely
-branchy.  See :mod:`repro.compile.tracer` (partial evaluation),
+output distribution where the body is affine, a numpy kernel where it
+is not (straight-line and bitwise equal to the vector Monte Carlo
+engine when branch-free; predicated, with branches on continuous ECVs
+as masks and Python's scalar operator semantics, bitwise equal to the
+per-sample loop, deferring to sampling when a sample takes a raising
+guard arm), and an honest fallback to sampling where the body defeats
+tracing.  See :mod:`repro.compile.tracer` (partial evaluation),
 :mod:`repro.compile.analytic` (closed forms),
 :mod:`repro.compile.compiler` (tier classification, codegen, caching)
 and :mod:`repro.compile.backend` (the ``"compiled"``
@@ -31,6 +34,7 @@ from repro.compile.compiler import (
     CompileCache,
     CompiledCall,
     CompiledInterface,
+    KernelDeferred,
     compile_call,
 )
 from repro.compile.tracer import (
@@ -48,6 +52,7 @@ __all__ = [
     "CompiledBackend",
     "CompiledCall",
     "CompiledInterface",
+    "KernelDeferred",
     "TracedPath",
     "TracedProgram",
     "UntraceableBody",

@@ -7,11 +7,14 @@ continuous ECV), the compiled backend looks the query up in its
 :class:`~repro.compile.compiler.CompileCache` and answers
 
 * from the exact analytic distribution (``analytic`` tier),
-* from the straight-line numpy kernel's cached draws (``kernel`` tier —
-  bitwise identical to a :class:`~repro.core.mcengine.VectorEngine` run
-  at the same entropy), or
+* from the numpy kernel's draws (``kernel`` tier — bitwise identical to
+  the Monte Carlo engines' draws at the same entropy), or
 * by falling back to the plain :class:`~repro.core.predict.SampledBackend`
-  (``sampled`` tier, anonymous callables, unsupported modes).
+  (``sampled`` tier, anonymous callables, unsupported modes, and a
+  predicated kernel that defers for this ``(entropy, n)``).  A deferral
+  counts as ``sampled``, leaves the same ``compile fallback`` span note
+  and first rewinds any generator the entropy draw advanced, so the
+  fallback sees the session exactly as if the kernel had never run.
 
 Hook fidelity: a compiled answer surfaces to the session's hook chain as
 one batched trace — ``_on_trace_begin`` followed by ``_on_batch(n, ...)``
@@ -25,7 +28,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.compile.compiler import CompileCache
+from repro.compile.compiler import CompileCache, KernelDeferred
 from repro.core.ecv import ECVEnvironment
 from repro.core.interface import EnergyCall
 from repro.core.predict import PredictionBackend, SampledBackend
@@ -52,32 +55,39 @@ class CompiledBackend(PredictionBackend):
                     n_samples: int,
                     engine: Any = None,
                     call: Callable[[], Any] | None = None) -> Any:
+        fallback_args = dict(fn=fn, env=env, mode=mode, rng=rng,
+                             n_samples=n_samples, engine=engine, call=call)
         if not isinstance(call, EnergyCall) or mode not in (
                 "expected", "distribution"):
             # Anonymous callables have no compile key; other modes never
             # reach the Monte Carlo stage in the first place.
             self.stats["sampled"] += 1
-            return self.fallback.monte_carlo(
-                session, fn=fn, env=env, mode=mode, rng=rng,
-                n_samples=n_samples, engine=engine, call=call)
+            return self.fallback.monte_carlo(session, **fallback_args)
         entry = self.cache.get(call, env, max_traces=session.max_traces)
         if entry.tier == "sampled":
-            self.stats["sampled"] += 1
-            session._annotate(f"compile fallback: {entry.reason}")
-            return self.fallback.monte_carlo(
-                session, fn=fn, env=env, mode=mode, rng=rng,
-                n_samples=n_samples, engine=engine, call=call)
-        self.stats[entry.tier] += 1
+            return self._fall_back(session, entry.reason, fallback_args)
+        # Only a predicated kernel can defer; keep the other hits lean.
+        generators = ([g for g in (rng, session._rng) if g is not None]
+                      if entry.predicated else [])
+        states = [g.bit_generator.state for g in generators]
         entropy = session._mc_entropy(rng)
-        value = entry.predict(mode, entropy, int(n_samples))
+        try:
+            expected, distribution = entry.answers(entropy, int(n_samples))
+        except KernelDeferred as exc:
+            for generator, state in zip(generators, states):
+                generator.bit_generator.state = state
+            return self._fall_back(session, str(exc), fallback_args)
+        self.stats[entry.tier] += 1
         # Mirror the vector engine's hook shape: one batched trace whose
         # recorded value is the full output distribution.
-        batch_value = (entry.dist if entry.tier == "analytic"
-                       else entry.predict("distribution", entropy,
-                                          int(n_samples)))
         session._on_trace_begin()
-        session._on_batch(int(n_samples), batch_value)
-        return value
+        session._on_batch(int(n_samples), distribution)
+        return expected if mode == "expected" else distribution
+
+    def _fall_back(self, session: Any, why: str, args: dict) -> Any:
+        self.stats["sampled"] += 1
+        session._annotate(f"compile fallback: {why}")
+        return self.fallback.monte_carlo(session, **args)
 
     def __repr__(self) -> str:
         return (f"CompiledBackend(cache={len(self.cache)} entries, "

@@ -13,19 +13,37 @@ the three prediction tiers —
     constant, law-of-total-variance ``Mixture`` otherwise).
 
 ``kernel``
-    A single branch-free path whose expression is not affine (products
-    of ECVs, powers, floor division).  The expression is emitted back to
-    Python source as a straight-line numpy kernel over the Monte Carlo
-    engine's deterministic sample columns — *the same columns, the same
-    operation sequence* the batched :class:`~repro.core.mcengine.VectorEngine`
-    pass applies, so kernel draws are bitwise identical to engine draws
-    at equal entropy.
+    A numpy kernel over the Monte Carlo engine's deterministic sample
+    columns, emitted back to Python source.  Its paths are selected by
+    masks: each predicate a path took is evaluated on the compressed
+    columns of the samples that reached it, the true side keeps
+    ``mask`` and the false side ``~mask`` (never the negated comparison,
+    which would drop NaN samples from both sides), and each path's
+    expression runs only on its own samples, scattered back into the
+    output.  A straight-line body is the zero-predicate case: one path,
+    no masks, a ``lambda`` over whole columns applying *the same
+    operation sequence* the batched
+    :class:`~repro.core.mcengine.VectorEngine` pass applies, so its draws
+    are bitwise identical to engine draws at equal entropy.  A
+    predicated body makes that engine fall back to its per-sample loop,
+    so there Python's scalar semantics are the reference: ``**``, ``//``
+    and ``%`` go through Python's own operators per element, ``/``
+    raises on a zero divisor as Python does, and ``+ - *`` and the
+    comparisons stay numpy (IEEE-identical).  The kernel *defers* — the
+    backend samples as before, so any error comes from the same code —
+    when a sample lands on a guard path (one where the body raised),
+    when numpy or a Python operator signals an arithmetic error, when a
+    column is not float64, and for ``n < 2``, where the batched
+    engine pass succeeds and numpy semantics would be the reference.
 
 ``sampled``
-    Genuinely branchy (branches on a continuous ECV, coerces symbolic
-    values, returns per-sample outcome distributions).  The compiled
-    entry records *why* and the prediction backend falls back to the
-    Monte Carlo engines unchanged.
+    Everything else: equality or truthiness tests on a symbolic value,
+    ``math.*`` or other coercions of one, per-sample outcome
+    distributions, discrete enumerations whose paths are not all affine.
+    The compiled entry records *why* and the prediction backend falls
+    back to the Monte Carlo engines unchanged.  Predicated programs
+    never enter the ``analytic`` tier: the weight of a path behind a
+    continuous predicate is unknown.
 
 :class:`CompileCache` memoizes compiled entries with a MemoHook-shaped
 key — interface identity, method, arguments and the environment
@@ -39,7 +57,9 @@ stale form.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -63,6 +83,7 @@ from repro.compile.analytic import (
     leaf_interval,
 )
 from repro.compile.tracer import (
+    TracedPath,
     TracedProgram,
     UntraceableBody,
     trace_call,
@@ -75,6 +96,7 @@ from repro.core.distributions import (
     PointMass,
 )
 from repro.core.ecv import ContinuousECV, ECVEnvironment
+from repro.core.errors import ReproError
 from repro.core.interface import EnergyCall
 from repro.core.mcengine import ColumnStore
 from repro.core.session import (
@@ -88,31 +110,102 @@ __all__ = [
     "CompiledCall",
     "CompiledInterface",
     "CompileCache",
+    "KernelDeferred",
     "compile_call",
 ]
 
-#: Result-cache bound per compiled call (distinct ``(mode, entropy, n)``
+#: Result-cache bound per compiled call (distinct ``(entropy, n)``
 #: combinations; sessions reuse one entropy, so this is generous).
 _MAX_RESULTS = 128
-#: Draw-column cache bound per compiled call (arrays are n floats each).
-_MAX_DRAWS = 8
 
 
 class _KernelUnsupported(Exception):
     """Internal: the expression uses a node codegen cannot emit."""
 
 
-def _emit(expr: Expr, names: Mapping[str, str]) -> str:
+class KernelDeferred(ReproError):
+    """A predicated kernel cannot answer this ``(entropy, n)`` exactly.
+
+    Raised by :meth:`CompiledCall.draws`; the backend then samples as if
+    the call had never compiled, so the answer — or the error — comes
+    from the reference per-sample loop.
+    """
+
+    code = "E_COMPILE_DEFER"
+
+
+def _python_op(op: Any) -> Any:
+    """``op`` applied per element by Python's own operator, as floats.
+
+    Python reports its errors by raising; the FPU flags its float code
+    leaves behind (``nan // 0.3`` sets *invalid*) are not errors there,
+    so numpy must not turn them into any.
+    """
+    ufunc = np.frompyfunc(op, 2, 1)
+
+    def apply(left: Any, right: Any) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return np.asarray(ufunc(left, right), dtype=float)
+
+    return apply
+
+
+def _divide(left: Any, right: Any) -> np.ndarray:
+    """Python's ``/``: numpy's quotient, but a zero divisor raises.
+
+    numpy flags ``x / 0`` only for finite ``x``; ``inf / 0`` and
+    ``nan / 0`` pass silently where Python raises.  A constant zero
+    divisor over an arm no sample takes divides nothing, so no error.
+    """
+    if np.size(left) and np.any(right == 0):
+        raise ZeroDivisionError("float division by zero")
+    return left / right
+
+
+#: Operators a predicated kernel runs with Python's scalar semantics.
+_PYTHON_OPS = {"/": "_divide", "**": "_pow", "//": "_floordiv", "%": "_mod"}
+
+#: The namespace every kernel runs in (no builtins).
+_KERNEL_GLOBALS = {
+    "__builtins__": {},
+    "_divide": _divide,
+    "_pow": _python_op(operator.pow),
+    "_floordiv": _python_op(operator.floordiv),
+    "_mod": _python_op(operator.mod),
+    "_empty": np.empty,
+    "_flatnonzero": np.flatnonzero,
+    "_Deferred": KernelDeferred,
+}
+
+#: Largest integer constant a float column meets exactly in numpy.
+_EXACT_INT = 2 ** 53
+
+
+def _emit(expr: Expr, names: Mapping[str, str],
+          python_ops: bool = False) -> str:
     """Render an expression to Python source over kernel arguments.
 
     Constants are emitted with ``repr`` (exact float round-trip); leaves
     become the sanitised argument names.  The emitted source performs the
     recorded operations in recorded order, which is what makes the kernel
-    replay the batched engine pass bitwise.
+    replay the batched engine pass bitwise.  ``python_ops`` routes the
+    operators in :data:`_PYTHON_OPS` through Python's own scalar
+    semantics and admits only numeric constants that numpy meets
+    exactly.
     """
     if isinstance(expr, Const):
+        # ``repr`` of inf, nan or a numpy scalar names nothing in the
+        # kernel's namespace.
         value = expr.value
-        if isinstance(value, (bool, int, float, str)) or value is None:
+        if type(value) is float and not math.isfinite(value):
+            raise _KernelUnsupported(
+                f"constant {value!r} has no exact source form")
+        if type(value) in (bool, int, float):
+            if python_ops and type(value) is int and abs(value) > _EXACT_INT:
+                raise _KernelUnsupported(
+                    f"integer constant {value!r} is not exact in float64")
+            return repr(value)
+        if not python_ops and (isinstance(value, str) or value is None):
             return repr(value)
         raise _KernelUnsupported(
             f"constant of type {type(value).__name__} has no exact "
@@ -124,12 +217,127 @@ def _emit(expr: Expr, names: Mapping[str, str]) -> str:
                 f"free symbol {expr.render()!r} is not a traced ECV leaf")
         return name
     if isinstance(expr, (BinOp, Compare)):
-        return (f"({_emit(expr.left, names)} {expr.op} "
-                f"{_emit(expr.right, names)})")
+        left = _emit(expr.left, names, python_ops)
+        right = _emit(expr.right, names, python_ops)
+        if python_ops and expr.op in _PYTHON_OPS:
+            return f"{_PYTHON_OPS[expr.op]}({left}, {right})"
+        return f"({left} {expr.op} {right})"
     if isinstance(expr, UnaryOp) and expr.op == "-":
-        return f"(-{_emit(expr.operand, names)})"
+        return f"(-{_emit(expr.operand, names, python_ops)})"
     raise _KernelUnsupported(
         f"no kernel form for expression node {type(expr).__name__}")
+
+
+def _decision_tree(paths: list[TracedPath]) -> dict:
+    """Nest predicated paths by their shared predicate prefixes.
+
+    An inner node holds its ``"compare"`` and one child per outcome
+    (``True``/``False``); a leaf holds its ``"path"``.  ``"uses"`` is the
+    set of ECV leaves the node's subtree reads.
+    """
+    root: dict = {}
+    for path in paths:
+        node = root
+        for compare, outcome in path.predicates:
+            node["compare"] = compare
+            node = node.setdefault(outcome, {})
+        node["path"] = path
+    _mark_uses(root)
+    return root
+
+
+def _mark_uses(node: dict) -> set[str]:
+    path = node.get("path")
+    if path is None:
+        uses = (node["compare"].free_variables() | _mark_uses(node[True])
+                | _mark_uses(node[False]))
+    elif path.guard is not None:
+        uses = set()
+    else:
+        uses = set().union(*(expr.free_variables() for expr in (
+            path.expr, *path.discarded) if expr is not None))
+    node["uses"] = uses
+    return uses
+
+
+def _emit_node(node: dict, names: dict[str, str], index: str | None,
+               lines: list[str], fresh: Any) -> None:
+    """Emit one decision-tree node over its samples' compressed columns.
+
+    ``names`` maps each ECV leaf the subtree reads to this node's copy of
+    its column; ``index`` holds the node's sample positions in the
+    output (``None`` at the root, which holds every sample).
+    """
+    path = node.get("path")
+    if path is not None:
+        if path.guard is not None:
+            lines.append(f"    if {index}.size: raise _Deferred("
+                         f"{'a sample hits a guard path: ' + path.guard!r})")
+            return
+        for operation in path.discarded:
+            lines.append(f"    {_emit(operation, names, True)}")
+        body = (_emit(path.expr, names, True) if path.expr is not None
+                else _emit(Const(path.value), names, True))
+        lines.append(f"    out[{index}] = {body}")
+        return
+    mask = f"m{next(fresh)}"
+    lines.append(f"    {mask} = {_emit(node['compare'], names, True)}")
+    for outcome, select in ((True, mask), (False, f"~{mask}")):
+        child = node[outcome]
+        suffix = f"_{next(fresh)}"
+        lines.append(f"    i{suffix} = " + (
+            f"_flatnonzero({select})" if index is None
+            else f"{index}[{select}]"))
+        child_names = {}
+        for leaf in sorted(child["uses"]):
+            column = names[leaf].split("_")[0] + suffix
+            lines.append(f"    {column} = {names[leaf]}[{select}]")
+            child_names[leaf] = column
+        _emit_node(child, child_names, f"i{suffix}", lines, fresh)
+
+
+def _kernel_source(program: TracedProgram, leaves: list[ECVLeaf]) -> str:
+    """The kernel's source: a ``lambda`` or, with predicates, a ``def``.
+
+    Both come from one emitter: a program without predicates is a single
+    decision-tree leaf over whole columns, which needs no masks.
+    """
+    names = {leaf.name: f"c{index}" for index, leaf in enumerate(leaves)}
+    params = ", ".join(names[leaf.name] for leaf in leaves)
+    if not program.predicated:
+        return f"lambda {params}: {_emit(program.paths[0].expr, names)}"
+    lines = [f"def kernel({params}):", "    out = _empty(c0.shape[0])"]
+    _emit_node(_decision_tree(program.paths), names, None, lines,
+               itertools.count())
+    lines.append("    return out")
+    return "\n".join(lines)
+
+
+def _build_kernel(source: str) -> Any:
+    """Evaluate generated kernel source (built only from traced trees)."""
+    namespace = dict(_KERNEL_GLOBALS)
+    if source.startswith("lambda "):
+        return eval(source, namespace)  # noqa: S307
+    exec(source, namespace)  # noqa: S102
+    return namespace["kernel"]
+
+
+def _run_predicated(kernel: Any, columns: list[np.ndarray]) -> np.ndarray:
+    """Run a predicated kernel, deferring wherever it could not be exact.
+
+    Per sample, the reference loop reads Python floats, so only float64
+    columns are admitted.  Underflow is left alone: Python's float
+    arithmetic underflows silently to the same subnormal or zero.
+    """
+    for column in columns:
+        if column.dtype != np.float64:
+            raise KernelDeferred(
+                f"ECV column of dtype {column.dtype} is not float64")
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return kernel(*columns)
+    except (ArithmeticError, TypeError) as exc:
+        raise KernelDeferred(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _has_custom_sampler(ecv: Any) -> bool:
@@ -171,11 +379,10 @@ class CompiledCall:
     ``analytic`` entries carry the exact output ``dist``; ``kernel``
     entries carry the generated source, the evaluable kernel and the
     ordered column leaves it consumes; ``sampled`` entries carry only
-    the fallback ``reason``.  Per-``(mode, entropy, n)`` prediction
-    results (and the kernel's raw draw columns) are cached on the entry,
-    which is what turns repeated seeded predictions into dictionary
-    hits — the compiled replacement for re-running symbolic evaluation
-    on every hot-path query.
+    the fallback ``reason``.  Per-``(entropy, n)`` prediction
+    results are cached on the entry, which is what turns repeated
+    seeded predictions into dictionary hits — the compiled replacement
+    for re-running symbolic evaluation on every hot-path query.
     """
 
     call: EnergyCall
@@ -188,8 +395,8 @@ class CompiledCall:
     declared_print: tuple = ()
     reason: str | None = None
     program: TracedProgram | None = None
-    _draws: "OrderedDict[tuple, np.ndarray]" = field(
-        default_factory=OrderedDict, repr=False)
+    #: The kernel selects paths by continuous predicates (and may defer).
+    predicated: bool = False
     _results: "OrderedDict[tuple, Any]" = field(
         default_factory=OrderedDict, repr=False)
 
@@ -226,41 +433,47 @@ class CompiledCall:
         Reads the same deterministic :class:`~repro.core.mcengine.ColumnStore`
         columns the engines read and applies the recorded operations, so
         the result is bitwise identical to a :class:`VectorEngine` run of
-        the original method at equal ``(entropy, n)``.
+        the original method at equal ``(entropy, n)``.  A predicated
+        kernel raises :class:`KernelDeferred` instead where it could not
+        be (see the module docstring).  Nothing is cached here:
+        :meth:`predict` keeps the results derived from the draws.
         """
         if self.tier != "kernel":
             raise UntraceableBody(
                 f"tier {self.tier!r} entry has no kernel draws")
-        key = (int(entropy), int(n))
-        cached = self._draws.get(key)
-        if cached is not None:
-            self._draws.move_to_end(key)
-            return cached
+        if self.predicated and n < 2:
+            raise KernelDeferred(
+                f"n_samples={n}: the batched engine pass answers a single "
+                f"sample with numpy semantics")
         store = ColumnStore(entropy, n)
         columns = [store.column(leaf.qualified, leaf.occurrence, leaf.ecv)
                    for leaf in self.leaves]
-        value = self.kernel(*columns)
+        if self.predicated:
+            value = _run_predicated(self.kernel, columns)
+        else:
+            value = self.kernel(*columns)
         array = np.asarray(value, dtype=float)
         if array.ndim == 0:
             array = np.full(int(n), float(array))
-        self._draws[key] = array
-        if len(self._draws) > _MAX_DRAWS:
-            self._draws.popitem(last=False)
         return array
 
-    def predict(self, mode: str, entropy: int, n: int) -> Any:
-        """Answer an ``expected``/``distribution`` query from this entry.
+    def answers(self, entropy: int, n: int) -> tuple[Energy, Any]:
+        """The ``expected`` and ``distribution`` answers of this entry.
 
-        Analytic entries answer exactly (``Energy(mean)`` / the analytic
-        distribution); kernel entries answer from their bitwise draws
-        (``Energy(mean of draws)`` / ``Empirical(draws)``, exactly the
-        shapes :meth:`EvalSession._monte_carlo` produces).  Results are
-        cached per ``(mode, entropy, n)``.
+        Analytic entries answer exactly (``Energy(mean)`` and the
+        analytic distribution); kernel entries answer from one run of
+        their bitwise draws (``Energy(mean of draws)`` and
+        ``Empirical(draws)``, exactly the shapes
+        :meth:`EvalSession._monte_carlo` produces).  The pair is cached
+        per ``(entropy, n)`` (analytic: once), except for a predicated
+        kernel: recomputing its draws costs about a millisecond, and the
+        sorted copy of ``n`` draws each cached key would hold costs more
+        memory than that time is worth.
         """
         if self.tier == "analytic":
-            key = (mode,)
+            key: tuple = ()
         elif self.tier == "kernel":
-            key = (mode, int(entropy), int(n))
+            key = (int(entropy), int(n))
         else:
             raise UntraceableBody(
                 f"tier {self.tier!r} entry cannot answer predictions "
@@ -270,16 +483,22 @@ class CompiledCall:
             self._results.move_to_end(key)
             return cached
         if self.tier == "analytic":
-            value = (Energy(self.dist.mean()) if mode == "expected"
-                     else self.dist)
+            pair = (Energy(self.dist.mean()), self.dist)
         else:
             draws = self.draws(entropy, n)
-            value = (Energy(float(np.mean(draws))) if mode == "expected"
-                     else Empirical(draws))
-        self._results[key] = value
+            pair = (Energy(float(np.mean(draws))), Empirical(draws))
+            if self.predicated:
+                return pair
+        self._results[key] = pair
         if len(self._results) > _MAX_RESULTS:
             self._results.popitem(last=False)
-        return value
+        return pair
+
+    def predict(self, mode: str, entropy: int, n: int) -> Any:
+        """Answer an ``expected`` or ``distribution`` query (see
+        :meth:`answers`)."""
+        expected, distribution = self.answers(entropy, n)
+        return expected if mode == "expected" else distribution
 
     # -- introspection -----------------------------------------------------
     def proven_interval(self) -> Interval | None:
@@ -296,6 +515,8 @@ class CompiledCall:
         lows: list[float] = []
         highs: list[float] = []
         for path in self.program.paths:
+            if path.guard is not None:
+                continue
             if path.expr is None:
                 lows.append(path.value)
                 highs.append(path.value)
@@ -367,38 +588,38 @@ def compile_call(call: EnergyCall, env: ECVEnvironment, *,
     leaves = list(program.leaves.values())
     leaf_prints = {leaf.name: _leaf_print(leaf.ecv, p_quantum)
                    for leaf in leaves}
-    # Tier 1: exact analytic law over all paths.
-    components: list[EnergyDistribution] = []
-    weights: list[float] = []
-    analytic = True
-    for path in program.paths:
-        component = _path_analytic(path)
-        if component is None:
-            analytic = False
-            break
-        components.append(component)
-        weights.append(path.probability)
-    if analytic and math.isclose(sum(weights), 1.0, rel_tol=1e-6):
-        dist = _combine_analytic(components, weights)
-        return CompiledCall(call=call, tier="analytic", dist=dist,
-                            leaves=leaves, leaf_prints=leaf_prints,
-                            declared_print=declared, program=program)
-    # Tier 2: straight-line numpy kernel, bitwise equal to VectorEngine.
-    if program.straight_line and program.paths[0].expr is not None:
-        path = program.paths[0]
-        names = {leaf.name: f"c{index}"
-                 for index, leaf in enumerate(leaves)}
+    # Tier 1: exact analytic law over all paths (the weight of a path
+    # behind a continuous predicate is unknown, so never for those).
+    if not program.predicated:
+        components: list[EnergyDistribution] = []
+        weights: list[float] = []
+        for path in program.paths:
+            component = _path_analytic(path)
+            if component is None:
+                break
+            components.append(component)
+            weights.append(path.probability)
+        else:
+            if math.isclose(sum(weights), 1.0, rel_tol=1e-6):
+                dist = _combine_analytic(components, weights)
+                return CompiledCall(call=call, tier="analytic", dist=dist,
+                                    leaves=leaves, leaf_prints=leaf_prints,
+                                    declared_print=declared,
+                                    program=program)
+    # Tier 2: numpy kernel — straight-line (bitwise equal to VectorEngine)
+    # or predicated (bitwise equal to the per-sample loop, or deferring).
+    if program.predicated or (program.straight_line
+                              and program.paths[0].expr is not None):
         try:
-            body = _emit(path.expr, names)
+            source = _kernel_source(program, leaves)
         except _KernelUnsupported as exc:
             return _sampled(call, str(exc), declared)
-        source = f"lambda {', '.join(names[l.name] for l in leaves)}: {body}"
-        kernel = eval(source, {"__builtins__": {}})  # noqa: S307 - source
-        # is generated exclusively from the traced expression tree above.
-        return CompiledCall(call=call, tier="kernel", kernel=kernel,
+        return CompiledCall(call=call, tier="kernel",
+                            kernel=_build_kernel(source),
                             kernel_source=source, leaves=leaves,
                             leaf_prints=leaf_prints,
-                            declared_print=declared, program=program)
+                            declared_print=declared, program=program,
+                            predicated=program.predicated)
     if not program.straight_line:
         return _sampled(
             call, "enumerated paths are not all affine-analytic; "

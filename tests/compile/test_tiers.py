@@ -23,10 +23,12 @@ from repro.apps.transcode import bimodal_transcoder
 from repro.cli import _compile_targets
 from repro.compile import AnalyticDistribution, compile_call
 from repro.core.distributions import Discrete, Mixture, PointMass
-from repro.core.ecv import BernoulliECV, ECVEnvironment
+from repro.core.ecv import BernoulliECV, ContinuousECV, ECVEnvironment
 from repro.core.interface import EnergyInterface, evaluate
 from repro.core.session import EvalSession
 from repro.core.units import Energy
+
+from .fixtures import LoadInterface
 
 SEED = 7
 N = 2000
@@ -99,12 +101,49 @@ class TestTierAssignments:
         expected = 240 * (iface.burst_util + iface.trough_util) / 2 * 1e-3
         assert entry.dist.mean() == pytest.approx(expected)
 
-    def test_drone_leg_falls_back_honestly(self):
+    def test_drone_leg_compiles_to_a_bounded_kernel(self):
         entry = next(
             compile_call(call, ECVEnvironment.EMPTY)
             for label, call in QUERIES if label.startswith("drone."))
+        assert entry.tier == "kernel" and entry.predicated
+        interval = entry.proven_interval()
+        assert interval is not None and interval.bounded
+        draws = entry.draws(SEED, N)
+        assert interval.lo <= draws.min() and draws.max() <= interval.hi
+
+    def test_unsupported_body_falls_back_honestly(self):
+        call = LoadInterface()("E_exp", 1.0)
+        entry = compile_call(call, ECVEnvironment.EMPTY)
         assert entry.tier == "sampled"
-        assert "branchy" in entry.reason
+        assert "branchy" in entry.reason and "TypeError" in entry.reason
+        a = evaluate(call, session=EvalSession(seed=SEED, backend="compiled"),
+                     mode="distribution", n_samples=N)
+        b = evaluate(call, session=EvalSession(seed=SEED),
+                     mode="distribution", n_samples=N)
+        assert np.array_equal(np.asarray(a._samples), np.asarray(b._samples))
+
+    def test_constants_without_a_source_form_fall_back(self):
+        class OddConstants(EnergyInterface):
+            def __init__(self):
+                super().__init__("odd_constants")
+                self.declare_ecv(ContinuousECV("x", 1.0, 2.0))
+
+            def E_inf(self):
+                x = self.ecv("x")
+                return Energy(x * x + float("inf"))
+
+            def E_numpy_scalar(self):
+                x = self.ecv("x")
+                return Energy(x * x * np.float64(1.5))
+
+        for method in ("E_inf", "E_numpy_scalar"):
+            call = OddConstants()(method)
+            assert compile_call(call, ECVEnvironment.EMPTY).tier == "sampled"
+            answers = [evaluate(call, session=EvalSession(
+                seed=SEED, backend=backend), mode="expected",
+                n_samples=64).as_joules for backend in ("compiled",
+                                                        "sampled")]
+            assert answers[0] == answers[1]
 
     def test_bench_handle_compiles_to_a_kernel(self):
         entry = next(
@@ -185,7 +224,7 @@ class TestBackendThroughSession:
     def test_fallback_is_annotated(self):
         from repro.core.session import SpanRecorder
 
-        call = next(c for label, c in QUERIES if label.startswith("drone."))
+        call = LoadInterface()("E_exp", 1.0)
         recorder = SpanRecorder()
         session = EvalSession(seed=SEED, backend="compiled",
                               hooks=[recorder])

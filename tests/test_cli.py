@@ -485,3 +485,32 @@ class TestFleetCommand:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestCompileCommand:
+    """``repro-energy compile`` exit codes: 0 all compiled, 1 a sampled
+    fallback, 2 an unknown target."""
+
+    def test_whole_registry_compiles_and_exits_0(self, capsys, tmp_path):
+        report = tmp_path / "compile.json"
+        assert main(["compile", "--format", "json",
+                     "--output", str(report)]) == 0
+        document = json.loads(report.read_text())
+        assert document["tiers"]["sampled"] == 0
+        drone = [row for row in document["queries"]
+                 if row["target"] == "drone"]
+        assert [row["tier"] for row in drone] == ["kernel"]
+
+    def test_unsupported_target_exits_1(self, capsys, monkeypatch):
+        import repro.cli
+        from tests.compile.fixtures import LoadInterface
+
+        monkeypatch.setattr(repro.cli, "_compile_targets", lambda: {
+            "unsupported": lambda: [(LoadInterface(), [("E_exp", (1.0,))])]})
+        assert main(["compile", "unsupported"]) == 1
+        out = capsys.readouterr().out
+        assert "1 sampled fallback(s)" in out
+
+    def test_unknown_target_exits_2(self, capsys):
+        assert main(["compile", "no-such-target"]) == 2
+        _assert_one_line_usage_error(capsys, "compile", "no-such-target")
