@@ -136,12 +136,24 @@ def interval_of(expr: Expr, env: Mapping[str, Interval],
         if expr.op == "%" and right.is_point and right.lo > 0:
             return Interval(0.0, right.lo)
         if (expr.op == "**" and right.is_point
-                and float(right.lo).is_integer() and right.lo >= 0
-                and left.lo >= 0):
-            exponent = int(right.lo)
-            return Interval(left.lo ** exponent, left.hi ** exponent)
+                and float(right.lo).is_integer() and right.lo >= 0):
+            return _integer_power(left, int(right.lo))
         return TOP
     return TOP
+
+
+def _integer_power(base: Interval, exponent: int) -> Interval:
+    """``base ** exponent`` for a non-negative integer exponent."""
+    if exponent == 0:
+        return Interval.point(1.0)
+    lo, hi = base.lo ** exponent, base.hi ** exponent
+    if exponent % 2 or base.lo >= 0:
+        # Odd powers rise everywhere, even ones on [0, inf).
+        return Interval(lo, hi)
+    if base.hi <= 0:
+        # Even powers fall on (-inf, 0].
+        return Interval(hi, lo)
+    return Interval(0.0, max(lo, hi))
 
 
 @dataclass(frozen=True)

@@ -310,7 +310,13 @@ class Empirical(EnergyDistribution):
     def __init__(self, samples: Sequence[float]) -> None:
         if len(samples) == 0:
             raise ECVBindingError("an empirical distribution needs samples")
-        self._samples = np.sort(np.asarray([float(s) for s in samples]))
+        if (isinstance(samples, np.ndarray) and samples.ndim == 1
+                and samples.dtype.kind in "biuf"):
+            # The same float64 values the per-element float() gives,
+            # without a Python-level pass over the samples.
+            self._samples = np.sort(samples.astype(float))
+        else:
+            self._samples = np.sort(np.asarray([float(s) for s in samples]))
 
     def mean(self) -> float:
         return float(np.mean(self._samples))

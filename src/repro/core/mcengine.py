@@ -9,6 +9,11 @@ tax on every probabilistic answer.  This module removes it:
 :class:`SerialEngine`
     The reference engine: one Python pass per sample, full per-sample
     hook events (spans, accounting) exactly like the historical loop.
+    The loop reuses one column context per task, reset at each sample,
+    reads each column as a Python list once, and resolves each read's
+    ECV once per task; reads under a binding overlay's environment
+    resolve afresh.  ``tests/core/column_loop_oracle.py`` keeps the
+    fresh-context-per-sample loop it must match bit for bit.
 
 :class:`VectorEngine`
     Runs the interface *once* over whole sample columns
@@ -43,6 +48,7 @@ across engines.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
@@ -56,7 +62,7 @@ from repro.core.distributions import (
 )
 from repro.core.ecv import ECV, ECVEnvironment
 from repro.core.errors import EvaluationError
-from repro.core.interface import _BaseContext, _run_in_context
+from repro.core.interface import EnergyCall, _BaseContext, _run_in_context
 from repro.core.units import AbstractEnergy, Energy
 
 if TYPE_CHECKING:
@@ -135,6 +141,39 @@ def _column_summary(column: np.ndarray) -> str:
     return f"batch[{column.size}]"
 
 
+class _ArrayValues:
+    """A column read per index, for columns ``tolist()`` cannot stand in for."""
+
+    __slots__ = ("_column",)
+
+    def __init__(self, column: Any) -> None:
+        self._column = column
+
+    def __getitem__(self, index: int) -> Any:
+        value = self._column[index]
+        if isinstance(value, np.generic):
+            value = value.item()
+        return value
+
+
+def _column_values(column: Any, n: int) -> Any:
+    """A column's entries as the Python values its scalar reads return.
+
+    ``tolist()`` converts every entry with ``.item()``, so for a 1-D
+    array of any non-object dtype it equals ``column[i].item()`` at each
+    ``i``.  An object column keeps its entries, converting numpy scalars
+    among them as a scalar read does.  Anything else (another shape, a
+    short column, not an ndarray) is read per index as before, so it
+    fails where and how it always did.
+    """
+    if type(column) is np.ndarray and column.ndim == 1 and len(column) >= n:
+        if column.dtype.kind != "O":
+            return column.tolist()
+        return [value.item() if isinstance(value, np.generic) else value
+                for value in column]
+    return _ArrayValues(column)
+
+
 class _ColumnContext(_BaseContext):
     """Per-sample Monte Carlo context reading from shared columns.
 
@@ -142,24 +181,63 @@ class _ColumnContext(_BaseContext):
     ``index`` reads position ``index`` of the deterministic column for
     each ``(ECV, occurrence)`` it touches, so the values do not depend on
     which engine runs the sample.
+
+    One context serves every sample of a task.  :meth:`reset` moves it
+    to the next sample: the task's environment, empty occurrence counts
+    and empty ``assignments``, as a fresh context would start.  What
+    does not change between samples is computed once per task: each
+    column's values as a Python list, and each read's qualified name and
+    resolved ECV per ``(owner, name)``.  The resolve cache holds only
+    while ``env`` is the task's environment; a binding overlay
+    (:class:`~repro.core.composition.BoundInterface`) swaps ``env`` in
+    the middle of a call, and a read under it resolves through
+    ``_resolve`` on the current environment.
     """
 
-    def __init__(self, env: ECVEnvironment, store: ColumnStore, index: int,
+    def __init__(self, env: ECVEnvironment, store: ColumnStore,
                  session: "EvalSession | None" = None) -> None:
         super().__init__(env, session)
+        self._task_env = env
         self._store = store
-        self._index = index
+        self._index = 0
         self._occurrence: dict[str, int] = {}
+        #: ``(id(owner), name) -> (owner, qualified, ecv)`` under the
+        #: task's environment; holding ``owner`` keeps its id unique.
+        self._resolved: dict[tuple[int, str], tuple[Any, str, ECV]] = {}
+        #: ``(qualified, occurrence) ->`` that column's values.
+        self._values: dict[tuple[str, int], Any] = {}
+
+    def reset(self, index: int) -> None:
+        """Start sample ``index`` as a fresh context would."""
+        self.env = self._task_env
+        self._index = index
+        self._occurrence = {}
+        self.assignments = {}
 
     def read(self, owner: Any, name: str) -> Any:
-        ecv = self._resolve(owner, name)
-        qualified = f"{owner.name}.{name}"
+        if self.env is self._task_env:
+            key = (id(owner), name)
+            entry = self._resolved.get(key)
+            if entry is None:
+                entry = (owner, f"{owner.name}.{name}",
+                         self._resolve(owner, name))
+                self._resolved[key] = entry
+            _, qualified, ecv = entry
+        else:
+            ecv = self._resolve(owner, name)
+            qualified = f"{owner.name}.{name}"
         occurrence = self._occurrence.get(qualified, 0)
         self._occurrence[qualified] = occurrence + 1
-        value = self._store.column(qualified, occurrence, ecv)[self._index]
-        if isinstance(value, np.generic):
-            value = value.item()
-        self._record(qualified, value)
+        values = self._values.get((qualified, occurrence))
+        if values is None:
+            store = self._store
+            values = _column_values(
+                store.column(qualified, occurrence, ecv), store.n)
+            self._values[(qualified, occurrence)] = values
+        value = values[self._index]
+        self.assignments[qualified] = value
+        if self.session is not None:
+            self.session._on_ecv_read(qualified, value)
         return value
 
 
@@ -247,20 +325,49 @@ def _outcome_vector(value: Any, store: ColumnStore, n: int) -> np.ndarray:
     return array
 
 
+def _bound_call(fn: Callable[[], Any]) -> Callable[[], Any]:
+    """``fn``, with an :class:`EnergyCall`'s method looked up once.
+
+    Calling the result calls the same method with the same arguments as
+    ``EnergyCall.__call__`` does.  A lookup that fails is left to the
+    call itself, so it raises inside the first sample as before.
+    """
+    if type(fn) is not EnergyCall:
+        return fn
+    method = fn.method
+    if isinstance(method, str):
+        try:
+            method = getattr(fn.interface, method)
+        except Exception:
+            return fn
+    return functools.partial(method, *fn.args, **dict(fn.kwargs))
+
+
 def _per_sample(task: MCTask, store: ColumnStore) -> np.ndarray:
-    """Evaluate the samples one at a time over shared columns."""
+    """Evaluate the samples one at a time over shared columns.
+
+    One :class:`_ColumnContext` and one bound call serve the whole task.
+    Each sample still opens and closes its own trace around its ECV
+    reads, and the context is active only while the body runs, so hooks
+    never run inside it.
+    """
     session = task.session
     weight = 1.0 / task.n
-    out = np.empty(task.n)
+    fn = _bound_call(task.fn)
+    context = _ColumnContext(task.env, store, session=session)
+    out = []
     for index in range(task.n):
-        context = _ColumnContext(task.env, store, index, session=session)
+        context.reset(index)
         if session is not None:
             session._on_trace_begin()
-        value = _run_in_context(task.fn, context)
+        value = _run_in_context(fn, context)
         if session is not None:
             session._on_trace_end(weight, value)
-        out[index] = _outcome_scalar(value, store, index)
-    return out
+        if type(value) is Energy:
+            out.append(float(value.as_joules))
+        else:
+            out.append(_outcome_scalar(value, store, index))
+    return np.array(out, dtype=float)
 
 
 class MCEngine:
@@ -276,7 +383,11 @@ class MCEngine:
 
 
 class SerialEngine(MCEngine):
-    """The reference per-sample loop with full per-sample hook events."""
+    """The reference per-sample loop with full per-sample hook events.
+
+    Every sample opens and closes its own trace, as a fresh context per
+    sample did; one reused :class:`_ColumnContext` serves them all.
+    """
 
     name = "serial"
 

@@ -127,3 +127,46 @@ class TestUnboundedEnergy:
         env = {"n": Interval(0.0, 100.0)}
         energy = mul(N, Const(0.001))
         assert bound_expr(energy, env).hi == pytest.approx(0.1)
+
+
+class TestIntegerPower:
+    """``x ** k`` for a non-negative integer ``k`` over any base interval."""
+
+    @pytest.mark.parametrize("base,k,want", [
+        (Interval(2.0, 3.0), 3, Interval(8.0, 27.0)),
+        (Interval(-2.0, 3.0), 3, Interval(-8.0, 27.0)),
+        (Interval(-3.0, -2.0), 3, Interval(-27.0, -8.0)),
+        (Interval(-2.0, 3.0), 2, Interval(0.0, 9.0)),
+        (Interval(-4.0, 3.0), 2, Interval(0.0, 16.0)),
+        (Interval(-3.0, -2.0), 2, Interval(4.0, 9.0)),
+        (Interval(-5.0, 7.0), 0, Interval(1.0, 1.0)),
+        (Interval(-math.inf, 1.0), 3, Interval(-math.inf, 1.0)),
+    ])
+    def test_bounds(self, base, k, want):
+        assert interval_of(BinOp("**", N, Const(k)), {"n": base}) == want
+
+    @pytest.mark.parametrize("base,k", [
+        (Interval(-2.0, 3.0), 3), (Interval(-4.0, 3.0), 2),
+        (Interval(-3.0, -2.0), 4), (Interval(-1.5, 0.0), 5),
+    ])
+    def test_contains_every_value(self, base, k):
+        bound = interval_of(BinOp("**", N, Const(k)), {"n": base})
+        for step in range(101):
+            x = base.lo + (base.hi - base.lo) * step / 100
+            assert bound.lo <= x ** k <= bound.hi
+
+    def test_fractional_or_negative_exponent_stays_unbounded(self):
+        env = {"n": Interval(-2.0, 3.0)}
+        assert interval_of(BinOp("**", N, Const(0.5)), env) == TOP
+        assert interval_of(BinOp("**", N, Const(-1)), env) == TOP
+
+    def test_drone_leg_below_max_headwind_is_finite(self):
+        from repro.apps.drone import DroneSpec, MissionEnergyInterface
+        from repro.compile import compile_call
+        from repro.core.ecv import ECVEnvironment
+
+        leg = MissionEnergyInterface(DroneSpec())("E_leg", 3000.0, 60.0,
+                                                  0.5, 5.0)
+        interval = compile_call(leg, ECVEnvironment.EMPTY).proven_interval()
+        assert interval.bounded
+        assert 0.0 < interval.lo <= interval.hi

@@ -297,3 +297,27 @@ class TestAsDistribution:
     def test_rejects_junk(self):
         with pytest.raises(EvaluationError):
             as_distribution("a lot")
+
+
+class TestEmpiricalConversion:
+    """The ndarray fast path and the per-element path agree bit for bit."""
+
+    @pytest.mark.parametrize("values", [
+        np.array([3.5, -0.0, 0.0, 1e300, -2.25]),
+        np.array([3.5, 1.25, -7.0], dtype=np.float32),
+        np.array([5, -3, 2**53 + 1, 0], dtype=np.int64),
+        np.array([True, False, True]),
+        np.array([np.nan, 1.0, np.inf, -np.inf, -0.0]),
+    ])
+    def test_array_matches_list_path(self, values):
+        fast = Empirical(values)._samples
+        slow = Empirical(values.tolist())._samples
+        by_element = Empirical([values[i] for i in range(len(values))])._samples
+        assert fast.dtype == slow.dtype == np.float64
+        assert fast.tobytes() == slow.tobytes() == by_element.tobytes()
+
+    def test_lists_and_tuples(self):
+        values = [2.0, -0.0, 1, True, float("nan")]
+        assert (Empirical(values)._samples.tobytes()
+                == Empirical(tuple(values))._samples.tobytes()
+                == Empirical(np.array(values, dtype=float))._samples.tobytes())

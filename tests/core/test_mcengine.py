@@ -10,7 +10,11 @@ Three contracts, one file:
   identically-seeded generator (the property the whole replay story
   rests on);
 * **integration** — budgets, hooks and the unified ``evaluate()`` see
-  batched evaluations as first-class events.
+  batched evaluations as first-class events;
+* **the per-sample loop** — the loop that reuses one context per task
+  matches the fresh-context-per-sample reference in
+  ``column_loop_oracle.py`` in draws, statistics, spans, accounting and
+  errors.
 """
 
 import warnings
@@ -20,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.drone import DroneSpec, MissionEnergyInterface
+from repro.core.composition import BoundInterface
 from repro.core.distributions import Normal, Uniform
 from repro.core.ecv import (
     BernoulliECV,
@@ -28,17 +34,30 @@ from repro.core.ecv import (
     FixedECV,
     UniformIntECV,
 )
-from repro.core.errors import EvaluationError
-from repro.core.interface import EnergyCall, EnergyInterface, evaluate
+from repro.core.errors import (
+    EvaluationError,
+    UnknownECVError,
+    WorkloadError,
+)
+from repro.core.interface import (
+    _ACTIVE_CONTEXT,
+    EnergyCall,
+    EnergyInterface,
+    evaluate,
+)
 from repro.core.mcengine import (
     ColumnStore,
+    MCEngine,
     MCTask,
     SerialEngine,
     VectorEngine,
+    _per_sample,
     resolve_engine,
 )
 from repro.core.session import AccountingHook, EvalSession, SpanRecorder
 from repro.core.units import Energy
+
+from . import column_loop_oracle
 
 
 class VectorizableInterface(EnergyInterface):
@@ -340,3 +359,259 @@ class _activated:
         from repro.core.interface import _ACTIVE_SESSION
         _ACTIVE_SESSION.reset(self._token)
         return False
+
+
+# -- the per-sample loop against its reference ------------------------------
+#
+# Every fixture body reads a continuous ECV first, so exact enumeration
+# gives up at once and the evaluation reaches the Monte Carlo loop.
+
+class _Probe(EnergyInterface):
+    """One continuous ECV, read once, twice or with keyword arguments."""
+
+    def __init__(self, name="probe", low=0.0, high=1.0):
+        super().__init__(name)
+        self.declare_ecv(ContinuousECV("x", low=low, high=high))
+
+    def E_once(self):
+        return Energy(self.ecv("x"))
+
+    def E_twice(self):
+        return Energy(self.ecv("x") + 10.0 * self.ecv("x"))
+
+    def E_kw(self, n, *, scale=1.0):
+        return Energy(n * scale * self.ecv("x"))
+
+
+class _Mixed(EnergyInterface):
+    """Discrete ECVs of every column dtype, behind a continuous read."""
+
+    def __init__(self):
+        super().__init__("mixed")
+        self.declare_ecv(ContinuousECV("x", low=0.0, high=1.0))
+        self.declare_ecv(BernoulliECV("hit", 0.5))
+        self.declare_ecv(UniformIntECV("ways", low=1, high=4))
+        self.declare_ecv(CategoricalECV(
+            "tier", {("ssd", 1): 0.5, ("hdd", 2): 0.3, None: 0.2}))
+        self.declare_ecv(CategoricalECV(
+            "width", {np.float32(1.5): 0.5, "wide": 0.5}))
+        self.declare_ecv(FixedECV("label", "fixed"))
+
+    def E_bool(self):
+        x = self.ecv("x")
+        hit = self.ecv("hit")
+        # ``is True`` tells a Python bool from ``numpy.True_``.
+        return Energy(x + (1.0 if hit is True else 2.0))
+
+    def E_int(self):
+        return Energy(self.ecv("x") * self.ecv("ways"))
+
+    def E_objects(self):
+        x = self.ecv("x")
+        tier = self.ecv("tier")
+        width = self.ecv("width")
+        cost = 0.5 if tier is None else tier[1]
+        wide = 3.0 if width == "wide" else float(type(width) is float)
+        return Energy(x + cost + wide) + Energy(len(self.ecv("label")))
+
+    def E_noisy(self, n):
+        # A non-degenerate outcome: drawn per index from ``outcome_rng``.
+        return Normal(mean=n * (1.0 + self.ecv("x")), std=0.25)
+
+    def E_joules(self):
+        # A bare number of Joules, not an ``Energy``.
+        return 2 + int(self.ecv("x") > 0.5)
+
+
+class _Bindable(EnergyInterface):
+    """Two ECVs a caller binds: one by qualified, one by bare name."""
+
+    def __init__(self):
+        super().__init__("bindable")
+        self.declare_ecv(ContinuousECV("a", low=0.0, high=1.0))
+        self.declare_ecv(ContinuousECV("b", low=0.0, high=1.0))
+
+    def E_op(self):
+        return Energy(self.ecv("a") + 100.0 * self.ecv("b"))
+
+
+def _drone(params):
+    drone = MissionEnergyInterface(DroneSpec())
+    return drone("E_leg", 3000.0, 60.0, 0.5, params["ground_speed"]), None
+
+
+def _twins(params):
+    # Two instances share a name: their reads share the qualified name
+    # ``twin.x`` (so occurrence numbering), but resolve their own ECVs.
+    low, high = _Probe("twin", 0.0, 1.0), _Probe("twin", 50.0, 60.0)
+    first, second = (low, high) if params["order"] else (high, low)
+
+    def twins():
+        return first.E_once() + second.E_once()
+
+    return twins, None
+
+
+def _overlay(params):
+    # One ECV read under the interface's own declaration and under a
+    # binding overlay, in either order, within each sample.
+    inner = _Probe("inner")
+    bound = BoundInterface(inner, {"x": ContinuousECV("x", 50.0, 60.0)})
+    first, second = (inner, bound) if params["order"] else (bound, inner)
+
+    def overlaid():
+        return first.E_once() + second.E_once()
+
+    return overlaid, None
+
+
+def _bindings(params):
+    env = {"bindable.a": ContinuousECV("a", low=5.0, high=6.0),
+           "b": UniformIntECV("b", low=1, high=3)}
+    return _Bindable()("E_op"), env
+
+
+def _assignments(params):
+    # A body that reports how many ECVs its sample has read: two, but
+    # samples alternate between ``ways`` and ``hit``, so an assignment
+    # carried over from an earlier sample shows from sample 1 on.
+    mixed = _Mixed()
+    state = {"sample": 0}
+
+    def counted():
+        x = mixed.ecv("x")
+        mixed.ecv("hit" if state["sample"] % 2 else "ways")
+        state["sample"] += 1
+        return Energy(x + len(_ACTIVE_CONTEXT.get().assignments))
+
+    return counted, None
+
+
+def _plain_callable(params):
+    probe = _Probe()
+
+    def tripled():
+        return probe.E_once() * 3.0
+
+    return tripled, None
+
+
+def _fails_at(params, failure):
+    # Sample ``k`` fails: ``failure(probe)`` raises inside the body.
+    probe = _Probe("fragile")
+    state = {"sample": 0}
+
+    def fragile():
+        value = probe.E_once()
+        if state["sample"] == params["k"]:
+            failure(probe)
+        state["sample"] += 1
+        return value
+
+    return fragile, None
+
+
+def _raise_workload_error(probe):
+    raise WorkloadError("this sample failed")
+
+
+#: name -> builder(params) -> (call or callable, env bindings or None),
+#: and the builder is called afresh for every run.
+_LOOP_FIXTURES = {
+    "drone": _drone,
+    "repeated read": lambda params: (_Probe()("E_twice"), None),
+    "shared name": _twins,
+    "overlay": _overlay,
+    "qualified and bare bindings": _bindings,
+    "object categorical": lambda params: (_Mixed()("E_objects"), None),
+    "bernoulli": lambda params: (_Mixed()("E_bool"), None),
+    "uniform int": lambda params: (_Mixed()("E_int"), None),
+    "normal outcome": lambda params: (_Mixed()("E_noisy", 3), None),
+    "bare joules": lambda params: (_Mixed()("E_joules"), None),
+    "kwargs": lambda params: (_Probe()("E_kw", 4, scale=2.5), None),
+    "plain callable": _plain_callable,
+    "assignments": _assignments,
+    "unknown ECV": lambda params: _fails_at(
+        params, lambda probe: probe.ecv("nowhere")),
+    "raises at k": lambda params: _fails_at(params, _raise_workload_error),
+}
+
+
+class _LoopEngine(MCEngine):
+    """Runs one per-sample loop and keeps its raw, unsorted draws."""
+
+    name = "loop"
+
+    def __init__(self, loop):
+        self.loop = loop
+        self.draws_seen = None
+
+    def draws(self, task):
+        self.draws_seen = self.loop(task, ColumnStore(task.entropy, task.n))
+        return self.draws_seen
+
+
+def _observe(loop, fixture, params, n, seed, hooked):
+    """Everything a run of ``loop`` lets a caller see."""
+    fn, env = _LOOP_FIXTURES[fixture](params)
+    recorder, accounting = SpanRecorder(), AccountingHook()
+    session = EvalSession(seed=seed,
+                          hooks=[recorder, accounting] if hooked else [])
+    engine = _LoopEngine(loop)
+    error = None
+    try:
+        evaluate(fn, session=session, mode="distribution", env=env,
+                 engine=engine, n_samples=n)
+    except Exception as exc:
+        error = (type(exc), str(exc))
+    draws = engine.draws_seen
+    return {
+        "draws": None if draws is None else (draws.dtype, draws.tobytes()),
+        "stats": dict(session.stats),
+        "spans": recorder.to_json(),
+        "accounting": accounting.stats(),
+        "error": error,
+    }
+
+
+class TestPerSampleLoopAgainstOracle:
+    @given(fixture=st.sampled_from(sorted(_LOOP_FIXTURES)),
+           n=st.integers(1, 24),
+           seed=st.integers(0, 2**32 - 1),
+           hooked=st.booleans(),
+           ground_speed=st.sampled_from([3.0, 5.0, 7.9, 8.0, 8.1, 12.0]),
+           order=st.booleans(),
+           k=st.integers(1, 23))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_oracle(self, fixture, n, seed, hooked, ground_speed,
+                            order, k):
+        params = {"ground_speed": ground_speed, "order": order, "k": k}
+        seen = _observe(_per_sample, fixture, params, n, seed, hooked)
+        want = _observe(column_loop_oracle._per_sample, fixture, params, n,
+                        seed, hooked)
+        assert seen == want
+
+    @pytest.mark.parametrize("fixture", sorted(_LOOP_FIXTURES))
+    def test_every_fixture_matches_oracle(self, fixture):
+        params = {"ground_speed": 5.0, "order": True, "k": 3}
+        seen = _observe(_per_sample, fixture, params, 64, 7, True)
+        want = _observe(column_loop_oracle._per_sample, fixture, params, 64,
+                        7, True)
+        assert seen == want
+
+    def test_fixtures_reach_the_loop(self):
+        # The comparison means something only if the loop really runs
+        # and the failing fixtures fail inside it, at sample k = 3.
+        params = {"ground_speed": 5.0, "order": True, "k": 3}
+        for fixture in _LOOP_FIXTURES:
+            seen = _observe(_per_sample, fixture, params, 64, 7, True)
+            if fixture in ("unknown ECV", "raises at k"):
+                assert seen["stats"]["traces"] == 3, fixture
+                assert seen["draws"] is None, fixture
+                assert seen["error"][0] is (UnknownECVError
+                                            if fixture == "unknown ECV"
+                                            else WorkloadError), fixture
+            else:
+                assert seen["stats"]["traces"] == 64, fixture
+                assert seen["error"] is None, fixture
+                assert seen["draws"] is not None, fixture
