@@ -5,13 +5,14 @@ over the symbolic-expression toolchain that turns an interface method
 plus bound ECV distributions into a
 :class:`~repro.compile.compiler.CompiledInterface` — an exact analytic
 output distribution where the body is affine, a numpy kernel where it
-is not (straight-line and bitwise equal to the vector Monte Carlo
-engine when branch-free; predicated, with branches on continuous ECVs
-as masks and Python's scalar operator semantics, bitwise equal to the
-per-sample loop, deferring to sampling when a sample takes a raising
-guard arm), and an honest fallback to sampling where the body defeats
-tracing.  See :mod:`repro.compile.tracer` (partial evaluation),
-:mod:`repro.compile.analytic` (closed forms),
+is not (straight-line, or predicated with branches on continuous ECVs
+as masks; either way with Python's scalar operator semantics, bitwise
+equal to the per-sample Monte Carlo loop, deferring to sampling when a
+sample takes a raising guard arm), and an honest fallback to sampling
+where the body defeats tracing or tests a value's identity or type.
+The vector Monte Carlo engine answers from the same kernels, audited
+against that loop.  See :mod:`repro.compile.tracer` (partial
+evaluation), :mod:`repro.compile.analytic` (closed forms),
 :mod:`repro.compile.compiler` (tier classification, codegen, caching)
 and :mod:`repro.compile.backend` (the ``"compiled"``
 :class:`~repro.core.predict.PredictionBackend`).

@@ -88,6 +88,9 @@ def leaf_interval(ecv: ECV) -> Interval | None:
     """The proven value box of one ECV draw (the lint layer's domain)."""
     if isinstance(ecv, ContinuousECV):
         return Interval(ecv.low, ecv.high)
+    if isinstance(ecv, UniformIntECV):
+        # Its support lists every integer in between.
+        return Interval(float(ecv.low), float(ecv.high))
     support = ecv.support()
     if support is None:
         return None

@@ -8,10 +8,10 @@ continuous ECV), the compiled backend looks the query up in its
 
 * from the exact analytic distribution (``analytic`` tier),
 * from the numpy kernel's draws (``kernel`` tier — bitwise identical to
-  the Monte Carlo engines' draws at the same entropy), or
+  the per-sample loop's draws at the same entropy), or
 * by falling back to the plain :class:`~repro.core.predict.SampledBackend`
   (``sampled`` tier, anonymous callables, unsupported modes, and a
-  predicated kernel that defers for this ``(entropy, n)``).  A deferral
+  kernel that defers for this ``(entropy, n)``).  A deferral
   counts as ``sampled``, leaves the same ``compile fallback`` span note
   and first rewinds any generator the entropy draw advanced, so the
   fallback sees the session exactly as if the kernel had never run.
@@ -66,9 +66,9 @@ class CompiledBackend(PredictionBackend):
         entry = self.cache.get(call, env, max_traces=session.max_traces)
         if entry.tier == "sampled":
             return self._fall_back(session, entry.reason, fallback_args)
-        # Only a predicated kernel can defer; keep the other hits lean.
+        # Only a kernel can defer; keep analytic hits lean.
         generators = ([g for g in (rng, session._rng) if g is not None]
-                      if entry.predicated else [])
+                      if entry.tier == "kernel" else [])
         states = [g.bit_generator.state for g in generators]
         entropy = session._mc_entropy(rng)
         try:

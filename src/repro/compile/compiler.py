@@ -21,24 +21,23 @@ the three prediction tiers —
     which would drop NaN samples from both sides), and each path's
     expression runs only on its own samples, scattered back into the
     output.  A straight-line body is the zero-predicate case: one path,
-    no masks, a ``lambda`` over whole columns applying *the same
-    operation sequence* the batched
-    :class:`~repro.core.mcengine.VectorEngine` pass applies, so its draws
-    are bitwise identical to engine draws at equal entropy.  A
-    predicated body makes that engine fall back to its per-sample loop,
-    so there Python's scalar semantics are the reference: ``**``, ``//``
-    and ``%`` go through Python's own operators per element, ``/``
-    raises on a zero divisor as Python does, and ``+ - *`` and the
-    comparisons stay numpy (IEEE-identical).  The kernel *defers* — the
-    backend samples as before, so any error comes from the same code —
-    when a sample lands on a guard path (one where the body raised),
-    when numpy or a Python operator signals an arithmetic error, when a
-    column is not float64, and for ``n < 2``, where the batched
-    engine pass succeeds and numpy semantics would be the reference.
+    no masks, a ``lambda`` over whole columns.  Every kernel follows
+    the per-sample loop's Python scalar semantics: ``**``, ``//`` and
+    ``%`` go through Python's own operators per element, ``/`` raises on
+    a zero divisor as Python does, ``+ - *`` and the comparisons stay
+    numpy (IEEE-identical), and a bool column is read as the integers
+    Python's bool arithmetic uses.  The kernel *defers* — the caller
+    samples as before, so any error comes from the same code — when a
+    sample lands on a guard path (one where the body raised), when
+    numpy or a Python operator signals an arithmetic error, or when a
+    column is not float64, int64 or bool.  A straight-line ``analytic``
+    entry carries the same kernel, so the vector Monte Carlo engine can
+    answer it in one pass.
 
 ``sampled``
     Everything else: equality or truthiness tests on a symbolic value,
-    ``math.*`` or other coercions of one, per-sample outcome
+    identity or type tests in the body, ``math.*`` or other coercions
+    of one, per-sample outcome
     distributions, discrete enumerations whose paths are not all affine.
     The compiled entry records *why* and the prediction backend falls
     back to the Monte Carlo engines unchanged.  Predicated programs
@@ -46,13 +45,16 @@ the three prediction tiers —
     continuous predicate is unknown.
 
 :class:`CompileCache` memoizes compiled entries with a MemoHook-shaped
-key — interface identity, method, arguments and the environment
-fingerprint (quantised like every other memo key in this repository, so
-parameter drift below the quantum keeps a hit, exactly as
-:class:`~repro.core.session.MemoHook` behaves) — and revalidates every
-hit against the *current* ECV resolution, so rebinding an ECV in the
-environment or mutating a declared ECV recompiles instead of serving a
-stale form.
+key — the interface object and its name, method, arguments and the
+environment fingerprint (quantised like every other memo key in this
+repository, so parameter drift below the quantum keeps a hit, exactly
+as :class:`~repro.core.session.MemoHook` behaves) — and revalidates
+every hit against the *current* ECV resolution, so rebinding an ECV in
+the environment or mutating a declared ECV recompiles instead of
+serving a stale form.  A session's kernel table revalidates exactly: an
+entry holds only while every leaf resolves to an ECV of the same type
+and parameters as the one it was traced with, so the kernel draws the
+columns the per-sample loop would.
 """
 
 from __future__ import annotations
@@ -95,7 +97,14 @@ from repro.core.distributions import (
     Mixture,
     PointMass,
 )
-from repro.core.ecv import ContinuousECV, ECVEnvironment
+from repro.core.ecv import (
+    BernoulliECV,
+    CategoricalECV,
+    ContinuousECV,
+    ECVEnvironment,
+    FixedECV,
+    UniformIntECV,
+)
 from repro.core.errors import ReproError
 from repro.core.interface import EnergyCall
 from repro.core.mcengine import ColumnStore
@@ -124,9 +133,9 @@ class _KernelUnsupported(Exception):
 
 
 class KernelDeferred(ReproError):
-    """A predicated kernel cannot answer this ``(entropy, n)`` exactly.
+    """A kernel cannot answer this ``(entropy, n)`` exactly.
 
-    Raised by :meth:`CompiledCall.draws`; the backend then samples as if
+    Raised by :meth:`CompiledCall.draws`; the caller then samples as if
     the call had never compiled, so the answer — or the error — comes
     from the reference per-sample loop.
     """
@@ -162,7 +171,7 @@ def _divide(left: Any, right: Any) -> np.ndarray:
     return left / right
 
 
-#: Operators a predicated kernel runs with Python's scalar semantics.
+#: Operators every kernel runs with Python's scalar semantics.
 _PYTHON_OPS = {"/": "_divide", "**": "_pow", "//": "_floordiv", "%": "_mod"}
 
 #: The namespace every kernel runs in (no builtins).
@@ -173,6 +182,7 @@ _KERNEL_GLOBALS = {
     "_floordiv": _python_op(operator.floordiv),
     "_mod": _python_op(operator.mod),
     "_empty": np.empty,
+    "_int": lambda mask: np.asarray(mask, dtype=np.int64),
     "_flatnonzero": np.flatnonzero,
     "_Deferred": KernelDeferred,
 }
@@ -181,17 +191,14 @@ _KERNEL_GLOBALS = {
 _EXACT_INT = 2 ** 53
 
 
-def _emit(expr: Expr, names: Mapping[str, str],
-          python_ops: bool = False) -> str:
+def _emit(expr: Expr, names: Mapping[str, str]) -> str:
     """Render an expression to Python source over kernel arguments.
 
     Constants are emitted with ``repr`` (exact float round-trip); leaves
     become the sanitised argument names.  The emitted source performs the
-    recorded operations in recorded order, which is what makes the kernel
-    replay the batched engine pass bitwise.  ``python_ops`` routes the
-    operators in :data:`_PYTHON_OPS` through Python's own scalar
-    semantics and admits only numeric constants that numpy meets
-    exactly.
+    recorded operations in recorded order, routing the operators in
+    :data:`_PYTHON_OPS` through Python's own scalar semantics, and admits
+    only numeric constants that numpy meets exactly.
     """
     if isinstance(expr, Const):
         # ``repr`` of inf, nan or a numpy scalar names nothing in the
@@ -200,12 +207,10 @@ def _emit(expr: Expr, names: Mapping[str, str],
         if type(value) is float and not math.isfinite(value):
             raise _KernelUnsupported(
                 f"constant {value!r} has no exact source form")
+        if type(value) is int and abs(value) > _EXACT_INT:
+            raise _KernelUnsupported(
+                f"integer constant {value!r} is not exact in float64")
         if type(value) in (bool, int, float):
-            if python_ops and type(value) is int and abs(value) > _EXACT_INT:
-                raise _KernelUnsupported(
-                    f"integer constant {value!r} is not exact in float64")
-            return repr(value)
-        if not python_ops and (isinstance(value, str) or value is None):
             return repr(value)
         raise _KernelUnsupported(
             f"constant of type {type(value).__name__} has no exact "
@@ -217,15 +222,69 @@ def _emit(expr: Expr, names: Mapping[str, str],
                 f"free symbol {expr.render()!r} is not a traced ECV leaf")
         return name
     if isinstance(expr, (BinOp, Compare)):
-        left = _emit(expr.left, names, python_ops)
-        right = _emit(expr.right, names, python_ops)
-        if python_ops and expr.op in _PYTHON_OPS:
+        left = _emit_operand(expr.left, names)
+        right = _emit_operand(expr.right, names)
+        if expr.op in _PYTHON_OPS:
             return f"{_PYTHON_OPS[expr.op]}({left}, {right})"
         return f"({left} {expr.op} {right})"
     if isinstance(expr, UnaryOp) and expr.op == "-":
-        return f"(-{_emit(expr.operand, names, python_ops)})"
+        return f"(-{_emit_operand(expr.operand, names)})"
     raise _KernelUnsupported(
         f"no kernel form for expression node {type(expr).__name__}")
+
+
+def _emit_operand(expr: Expr, names: Mapping[str, str]) -> str:
+    """An operand's source; a comparison's bools read as Python's ints."""
+    source = _emit(expr, names)
+    return f"_int({source})" if isinstance(expr, Compare) else source
+
+
+def _int_valued(expr: Expr) -> bool:
+    """Whether the per-sample loop computes ``expr`` as a Python int."""
+    if isinstance(expr, Const):
+        return type(expr.value) in (bool, int)
+    if isinstance(expr, ECVLeaf):
+        ecv = expr.ecv
+        if isinstance(ecv, (BernoulliECV, UniformIntECV)):
+            return True
+        return isinstance(ecv, (CategoricalECV, FixedECV)) and all(
+            type(value) in (bool, int) for value, _ in ecv.support())
+    if isinstance(expr, BinOp):
+        return (expr.op != "/" and _int_valued(expr.left)
+                and _int_valued(expr.right))
+    if isinstance(expr, UnaryOp):
+        return _int_valued(expr.operand)
+    return isinstance(expr, Compare)
+
+
+def _check_integer_range(program: TracedProgram) -> None:
+    """Refuse integer arithmetic that may leave float64's exact range.
+
+    Per sample, Python ints never overflow or round; a kernel's int64
+    columns wrap past 2**63 and its Python-operator results are floats.
+    Both agree with the loop while every integer intermediate stays
+    within 2**53, which the interval domain proves over the leaves'
+    value boxes.
+    """
+    box = {leaf.name: interval for leaf in program.leaves.values()
+           if (interval := leaf_interval(leaf.ecv)) is not None}
+    pending = [compare for path in program.paths
+               for compare, _ in path.predicates]
+    for path in program.paths:
+        pending.extend(path.discarded)
+        if path.expr is not None:
+            pending.append(path.expr)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (BinOp, UnaryOp)) and _int_valued(node):
+            bounds = bound_expr(node, box)
+            if not -_EXACT_INT <= bounds.lo <= bounds.hi <= _EXACT_INT:
+                raise _KernelUnsupported(
+                    f"integer arithmetic {node.render()} may leave the "
+                    f"range float64 holds exactly")
+        pending.extend(child for child in (
+            getattr(node, "left", None), getattr(node, "right", None),
+            getattr(node, "operand", None)) if child is not None)
 
 
 def _decision_tree(paths: list[TracedPath]) -> dict:
@@ -261,27 +320,32 @@ def _mark_uses(node: dict) -> set[str]:
 
 
 def _emit_node(node: dict, names: dict[str, str], index: str | None,
-               lines: list[str], fresh: Any) -> None:
+               lines: list[str], fresh: Any, probe: bool = False) -> None:
     """Emit one decision-tree node over its samples' compressed columns.
 
     ``names`` maps each ECV leaf the subtree reads to this node's copy of
     its column; ``index`` holds the node's sample positions in the
-    output (``None`` at the root, which holds every sample).
+    output (``None`` at the root, which holds every sample).  A
+    ``probe`` emits the same masks but, in place of each path's value,
+    records the first sample that reaches the path.
     """
     path = node.get("path")
     if path is not None:
-        if path.guard is not None:
+        if probe:
+            if path.guard is None:
+                lines.append(f"    first.append({index}[:1])")
+        elif path.guard is not None:
             lines.append(f"    if {index}.size: raise _Deferred("
                          f"{'a sample hits a guard path: ' + path.guard!r})")
-            return
-        for operation in path.discarded:
-            lines.append(f"    {_emit(operation, names, True)}")
-        body = (_emit(path.expr, names, True) if path.expr is not None
-                else _emit(Const(path.value), names, True))
-        lines.append(f"    out[{index}] = {body}")
+        else:
+            for operation in path.discarded:
+                lines.append(f"    {_emit(operation, names)}")
+            body = (_emit(path.expr, names) if path.expr is not None
+                    else _emit(Const(path.value), names))
+            lines.append(f"    out[{index}] = {body}")
         return
     mask = f"m{next(fresh)}"
-    lines.append(f"    {mask} = {_emit(node['compare'], names, True)}")
+    lines.append(f"    {mask} = {_emit(node['compare'], names)}")
     for outcome, select in ((True, mask), (False, f"~{mask}")):
         child = node[outcome]
         suffix = f"_{next(fresh)}"
@@ -293,23 +357,29 @@ def _emit_node(node: dict, names: dict[str, str], index: str | None,
             column = names[leaf].split("_")[0] + suffix
             lines.append(f"    {column} = {names[leaf]}[{select}]")
             child_names[leaf] = column
-        _emit_node(child, child_names, f"i{suffix}", lines, fresh)
+        _emit_node(child, child_names, f"i{suffix}", lines, fresh, probe)
 
 
-def _kernel_source(program: TracedProgram, leaves: list[ECVLeaf]) -> str:
+def _kernel_source(program: TracedProgram, leaves: list[ECVLeaf],
+                   probe: bool = False) -> str:
     """The kernel's source: a ``lambda`` or, with predicates, a ``def``.
 
     Both come from one emitter: a program without predicates is a single
-    decision-tree leaf over whole columns, which needs no masks.
+    decision-tree leaf over whole columns, which needs no masks.  The
+    ``probe`` of a predicated program returns the first sample on each
+    path the kernel took instead of the draws.
     """
     names = {leaf.name: f"c{index}" for index, leaf in enumerate(leaves)}
     params = ", ".join(names[leaf.name] for leaf in leaves)
     if not program.predicated:
         return f"lambda {params}: {_emit(program.paths[0].expr, names)}"
-    lines = [f"def kernel({params}):", "    out = _empty(c0.shape[0])"]
+    if probe:
+        lines = [f"def kernel({params}):", "    first = []"]
+    else:
+        lines = [f"def kernel({params}):", "    out = _empty(c0.shape[0])"]
     _emit_node(_decision_tree(program.paths), names, None, lines,
-               itertools.count())
-    lines.append("    return out")
+               itertools.count(), probe)
+    lines.append("    return first" if probe else "    return out")
     return "\n".join(lines)
 
 
@@ -322,17 +392,32 @@ def _build_kernel(source: str) -> Any:
     return namespace["kernel"]
 
 
-def _run_predicated(kernel: Any, columns: list[np.ndarray]) -> np.ndarray:
-    """Run a predicated kernel, deferring wherever it could not be exact.
+def _kernel_columns(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """The columns a kernel may read, bool ones as Python's integers.
 
-    Per sample, the reference loop reads Python floats, so only float64
-    columns are admitted.  Underflow is left alone: Python's float
-    arithmetic underflows silently to the same subnormal or zero.
+    Per sample, the reference loop reads Python floats, ints and bools;
+    float64 and int64 columns behave as those do, and a bool column
+    does once read as int64 (numpy's ``True + True`` is ``True``,
+    Python's is 2).  Any other dtype defers.
     """
+    admitted = []
     for column in columns:
-        if column.dtype != np.float64:
+        if column.dtype.kind == "b":
+            column = column.astype(np.int64)
+        elif column.dtype != np.float64 and column.dtype != np.int64:
             raise KernelDeferred(
-                f"ECV column of dtype {column.dtype} is not float64")
+                f"ECV column of dtype {column.dtype} is not float64, "
+                f"int64 or bool")
+        admitted.append(column)
+    return admitted
+
+
+def _run_kernel(kernel: Any, columns: list[np.ndarray]) -> Any:
+    """Run a kernel, deferring wherever it could not be exact.
+
+    Underflow is left alone: Python's float arithmetic underflows
+    silently to the same subnormal or zero.
+    """
     try:
         with np.errstate(all="raise", under="ignore"):
             return kernel(*columns)
@@ -364,6 +449,18 @@ def _declaration_print(interface: Any, p_quantum: float) -> tuple:
         for name, ecv in declarations.items()))
 
 
+def _same_ecv(current: Any, traced: Any) -> bool:
+    """Whether ``current`` draws the columns ``traced`` draws."""
+    if current is traced:
+        return True
+    if type(current) is not type(traced):
+        return False
+    try:
+        return bool(vars(current) == vars(traced))
+    except (TypeError, ValueError):  # an attribute without a plain ==
+        return False
+
+
 def _bare_name(leaf: ECVLeaf) -> str:
     """The unqualified ECV name of a leaf (strip the owner prefix)."""
     owner_name = getattr(leaf.owner, "name", None)
@@ -376,13 +473,14 @@ def _bare_name(leaf: ECVLeaf) -> str:
 class CompiledCall:
     """One compiled energy query: its tier plus the compiled artefacts.
 
-    ``analytic`` entries carry the exact output ``dist``; ``kernel``
-    entries carry the generated source, the evaluable kernel and the
-    ordered column leaves it consumes; ``sampled`` entries carry only
-    the fallback ``reason``.  Per-``(entropy, n)`` prediction
-    results are cached on the entry, which is what turns repeated
-    seeded predictions into dictionary hits — the compiled replacement
-    for re-running symbolic evaluation on every hot-path query.
+    ``analytic`` entries carry the exact output ``dist`` (and, when
+    straight-line, a kernel too); ``kernel`` entries carry the generated
+    source, the evaluable kernel and the ordered column leaves it
+    consumes; ``sampled`` entries carry only the fallback ``reason``.
+    Per-``(entropy, n)`` prediction results are cached on the entry,
+    which is what turns repeated seeded predictions into dictionary
+    hits — the compiled replacement for re-running symbolic evaluation
+    on every hot-path query.
     """
 
     call: EnergyCall
@@ -395,21 +493,29 @@ class CompiledCall:
     declared_print: tuple = ()
     reason: str | None = None
     program: TracedProgram | None = None
-    #: The kernel selects paths by continuous predicates (and may defer).
+    #: The kernel selects paths by continuous predicates.
     predicated: bool = False
+    #: A predicated kernel's path probe (see :func:`_kernel_source`).
+    probe: Any = None
+    #: Positions in ``leaves`` of the leaves with a discrete support.
+    discrete: tuple[int, ...] = ()
     _results: "OrderedDict[tuple, Any]" = field(
         default_factory=OrderedDict, repr=False)
 
     # -- cache hygiene -----------------------------------------------------
     def revalidate(self, env: ECVEnvironment,
-                   p_quantum: float = DEFAULT_P_QUANTUM) -> bool:
+                   p_quantum: float = DEFAULT_P_QUANTUM,
+                   exact: bool = False) -> bool:
         """Is this entry still valid under the current ECV resolution?
 
         Re-resolves every traced leaf exactly as evaluation would
         (environment first, declaration second) and compares distribution
         fingerprints plus the custom-sampler bit; also re-fingerprints
         the interface's declarations so mutating a declared ECV in place
-        invalidates entries whose memo key never sees it.
+        invalidates entries whose memo key never sees it.  ``exact``
+        requires each leaf's ECV to be the traced one or of the same
+        type with equal attributes, so the kernel draws the very columns
+        the per-sample loop reads.
         """
         if (_declaration_print(self.call.interface, p_quantum)
                 != self.declared_print):
@@ -421,41 +527,61 @@ class CompiledCall:
                 current = leaf.owner.declared_ecv(bare)
             if current is None:
                 return False
-            if self.leaf_prints.get(leaf.name) != _leaf_print(
+            if exact:
+                if not _same_ecv(current, leaf.ecv):
+                    return False
+            elif self.leaf_prints.get(leaf.name) != _leaf_print(
                     current, p_quantum):
                 return False
         return True
 
     # -- execution ---------------------------------------------------------
-    def draws(self, entropy: int, n: int) -> np.ndarray:
+    def _columns(self, store: ColumnStore) -> list[np.ndarray]:
+        return _kernel_columns([
+            store.column(leaf.qualified, leaf.occurrence, leaf.ecv)
+            for leaf in self.leaves])
+
+    def draws(self, entropy: int, n: int,
+              store: ColumnStore | None = None) -> np.ndarray:
         """The kernel's ``n`` Monte Carlo draws at ``entropy``.
 
         Reads the same deterministic :class:`~repro.core.mcengine.ColumnStore`
-        columns the engines read and applies the recorded operations, so
-        the result is bitwise identical to a :class:`VectorEngine` run of
-        the original method at equal ``(entropy, n)``.  A predicated
-        kernel raises :class:`KernelDeferred` instead where it could not
-        be (see the module docstring).  Nothing is cached here:
-        :meth:`predict` keeps the results derived from the draws.
+        columns the engines read (``store``'s, when given) and applies
+        the recorded operations with the per-sample loop's semantics, so
+        the result is bitwise identical to that loop's draws at equal
+        ``(entropy, n)``, or :class:`KernelDeferred` is raised where it
+        could not be (see the module docstring).  Nothing is cached
+        here: :meth:`predict` keeps the results derived from the draws.
         """
-        if self.tier != "kernel":
+        if self.kernel is None:
             raise UntraceableBody(
                 f"tier {self.tier!r} entry has no kernel draws")
-        if self.predicated and n < 2:
-            raise KernelDeferred(
-                f"n_samples={n}: the batched engine pass answers a single "
-                f"sample with numpy semantics")
-        store = ColumnStore(entropy, n)
-        columns = [store.column(leaf.qualified, leaf.occurrence, leaf.ecv)
-                   for leaf in self.leaves]
-        if self.predicated:
-            value = _run_predicated(self.kernel, columns)
-        else:
-            value = self.kernel(*columns)
-        array = np.asarray(value, dtype=float)
+        if store is None:
+            store = ColumnStore(entropy, n)
+        array = np.asarray(_run_kernel(self.kernel, self._columns(store)),
+                           dtype=float)
         if array.ndim == 0:
             array = np.full(int(n), float(array))
         return array
+
+    def audit_indices(self, store: ColumnStore) -> list[int]:
+        """The samples at which to check :meth:`draws` against the loop.
+
+        Sample 0, the first sample on each path the kernel took, and
+        the first sample taking each value of each discrete leaf, read
+        from the columns :meth:`draws` just read from ``store``.
+        """
+        if store.n < 1:
+            return []
+        columns = self._columns(store)
+        audit = {0}
+        if self.probe is not None:
+            for first in _run_kernel(self.probe, columns):
+                audit.update(first.tolist())
+        for position in self.discrete:
+            audit.update(np.unique(columns[position],
+                                   return_index=True)[1].tolist())
+        return sorted(audit)
 
     def answers(self, entropy: int, n: int) -> tuple[Energy, Any]:
         """The ``expected`` and ``distribution`` answers of this entry.
@@ -588,6 +714,22 @@ def compile_call(call: EnergyCall, env: ECVEnvironment, *,
     leaves = list(program.leaves.values())
     leaf_prints = {leaf.name: _leaf_print(leaf.ecv, p_quantum)
                    for leaf in leaves}
+    # A kernel for every program one can run over whole columns: the
+    # predicated ones, and the straight-line ones with an expression.
+    source = unsupported = None
+    if program.predicated or (program.straight_line
+                              and program.paths[0].expr is not None):
+        try:
+            _check_integer_range(program)
+            source = _kernel_source(program, leaves)
+        except _KernelUnsupported as exc:
+            unsupported = str(exc)
+    common = dict(
+        kernel=None if source is None else _build_kernel(source),
+        kernel_source=source, leaves=leaves, leaf_prints=leaf_prints,
+        declared_print=declared, program=program,
+        discrete=tuple(index for index, leaf in enumerate(leaves)
+                       if not isinstance(leaf.ecv, ContinuousECV)))
     # Tier 1: exact analytic law over all paths (the weight of a path
     # behind a continuous predicate is unknown, so never for those).
     if not program.predicated:
@@ -603,23 +745,17 @@ def compile_call(call: EnergyCall, env: ECVEnvironment, *,
             if math.isclose(sum(weights), 1.0, rel_tol=1e-6):
                 dist = _combine_analytic(components, weights)
                 return CompiledCall(call=call, tier="analytic", dist=dist,
-                                    leaves=leaves, leaf_prints=leaf_prints,
-                                    declared_print=declared,
-                                    program=program)
-    # Tier 2: numpy kernel — straight-line (bitwise equal to VectorEngine)
-    # or predicated (bitwise equal to the per-sample loop, or deferring).
-    if program.predicated or (program.straight_line
-                              and program.paths[0].expr is not None):
-        try:
-            source = _kernel_source(program, leaves)
-        except _KernelUnsupported as exc:
-            return _sampled(call, str(exc), declared)
+                                    **common)
+    # Tier 2: numpy kernel, bitwise equal to the per-sample loop or
+    # deferring to it.
+    if source is not None:
+        probe = (_build_kernel(_kernel_source(program, leaves, probe=True))
+                 if program.predicated else None)
         return CompiledCall(call=call, tier="kernel",
-                            kernel=_build_kernel(source),
-                            kernel_source=source, leaves=leaves,
-                            leaf_prints=leaf_prints,
-                            declared_print=declared, program=program,
-                            predicated=program.predicated)
+                            predicated=program.predicated, probe=probe,
+                            **common)
+    if unsupported is not None:
+        return _sampled(call, unsupported, declared)
     if not program.straight_line:
         return _sampled(
             call, "enumerated paths are not all affine-analytic; "
@@ -631,20 +767,26 @@ def compile_call(call: EnergyCall, env: ECVEnvironment, *,
 class CompileCache:
     """Memoized compiled entries with MemoHook-shaped keys.
 
-    The key is ``(interface name, method, args, kwargs, environment
-    fingerprint)`` — the same identity :class:`~repro.core.session.MemoHook`
-    keys evaluations by, minus the mode (one compiled entry serves every
-    mode; per-mode results are cached on the entry itself).  Entries are
-    revalidated on every hit (see :meth:`CompiledCall.revalidate`), so an
-    environment rebinding or declared-ECV mutation triggers recompilation
-    rather than a stale answer.  Unhashable queries compile nothing and
-    fall back to sampling.
+    The key is ``(id(interface), interface name, method, args, kwargs,
+    environment fingerprint)`` — the identity
+    :class:`~repro.core.session.MemoHook` keys evaluations by, minus the
+    mode (one compiled entry serves every mode; per-mode results are
+    cached on the entry itself), plus the interface object: two
+    interfaces may share a name and differ in their constants.  The
+    entry holds its interface, so the id stays unique while it is
+    cached.  Entries are revalidated on every hit (see
+    :meth:`CompiledCall.revalidate`; ``exact`` selects the exact form),
+    so an environment rebinding or declared-ECV mutation triggers
+    recompilation rather than a stale answer.  Unhashable queries
+    compile nothing and fall back to sampling.
     """
 
     def __init__(self, maxsize: int = 256,
-                 p_quantum: float = DEFAULT_P_QUANTUM) -> None:
+                 p_quantum: float = DEFAULT_P_QUANTUM,
+                 exact: bool = False) -> None:
         self.maxsize = int(maxsize)
         self.p_quantum = float(p_quantum)
+        self.exact = bool(exact)
         self._entries: "OrderedDict[tuple, CompiledCall]" = OrderedDict()
         self._epochs: dict[str, tuple] = {}
         self.stats = {"hits": 0, "misses": 0, "invalidations": 0,
@@ -654,7 +796,8 @@ class CompileCache:
         interface_name = getattr(call.interface, "name",
                                  type(call.interface).__name__)
         try:
-            key = (interface_name, call.method_name, call.args, call.kwargs,
+            key = (id(call.interface), interface_name, call.method_name,
+                   call.args, call.kwargs,
                    env_fingerprint(env, self.p_quantum))
             hash(key)
         except TypeError:
@@ -671,7 +814,7 @@ class CompileCache:
                             "entries cannot be cached")
         entry = self._entries.get(key)
         if entry is not None:
-            if entry.revalidate(env, self.p_quantum):
+            if entry.revalidate(env, self.p_quantum, self.exact):
                 self._entries.move_to_end(key)
                 self.stats["hits"] += 1
                 return entry
@@ -699,11 +842,17 @@ class CompileCache:
         self._epochs[interface_name] = fingerprint
         if previous is None or previous == fingerprint:
             return 0
-        stale = [key for key in self._entries if key[0] == interface_name]
+        stale = [key for key in self._entries if key[1] == interface_name]
         for key in stale:
             del self._entries[key]
         self.stats["invalidations"] += len(stale)
         return len(stale)
+
+    def drop(self, call: EnergyCall, env: ECVEnvironment) -> None:
+        """Forget the entry for a query, if there is one."""
+        key = self._key(call, env)
+        if key is not None:
+            self._entries.pop(key, None)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -776,7 +925,7 @@ class CompiledInterface:
                     row["proven_hi_j"] = interval.hi
                 if entry.tier == "analytic":
                     row["mean_j"] = float(entry.dist.mean())
-                if entry.kernel_source is not None:
+                if entry.tier == "kernel":
                     row["kernel"] = entry.kernel_source
             rows.append(row)
         return rows

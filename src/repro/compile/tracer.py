@@ -9,11 +9,10 @@ failed:
 
 1. **Straight-line pass** — *every* ECV read returns a symbolic leaf
    keyed ``(qualified name, occurrence)``, exactly the column keying of
-   the batched Monte Carlo engine
-   (:class:`~repro.core.mcengine._BatchContext`).  A body that completes
-   is branch-free over its ECVs: one expression covers all sample paths,
-   and evaluating it over the engine's deterministic columns reproduces
-   the vectorized draws bitwise.
+   the Monte Carlo engines' :class:`~repro.core.mcengine.ColumnStore`.
+   A body that completes is branch-free over its ECVs: one expression
+   covers all sample paths, and the kernel evaluates it over the
+   engines' deterministic columns.
 2. **Enumerated pass** — bodies that branch on an ECV raise on the
    symbolic value (``Expr.__bool__``); the fallback enumerates the
    *discrete* ECVs by forced-choice replay — the same worklist
@@ -34,12 +33,26 @@ failed:
    leaf and other coercions still defeat the pass, and the call stays
    in the sampled tier.
 
+Before any pass runs, a **screen** reads the body's source (and that of
+the same-module helpers and energy methods it calls): an identity test
+(``is``/``is not`` against anything but ``None``), ``isinstance``,
+``type(...)`` or ``id(...)`` answers differently on a symbolic leaf than
+on a sampled value, and Python gives the leaf no hook to intercept it,
+so such a body stays in the sampled tier with the test as its reason.
+
 All passes bypass session hooks entirely: tracing is compilation, not
 evaluation — no spans, no accounting, no memo writes.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import inspect
+import linecache
+import textwrap
+import tokenize
+import types
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -64,6 +77,10 @@ MAX_COMPILE_TRACES = 4096
 #: continuous draw is a measure-zero event the kernel could only get
 #: right by accident, so ``==``/``!=`` stay untraceable.
 _FORKING_OPS = frozenset({"<", "<=", ">", ">="})
+
+
+#: Builtins whose answer on a symbolic leaf is not their answer on a draw.
+_TYPE_TESTS = frozenset({"isinstance", "type", "id"})
 
 
 class UntraceableBody(ReproError):
@@ -249,6 +266,118 @@ def _as_path(context: _CompileContext, value: Any) -> TracedPath:
         f"method returned uncompilable type {type(value).__name__}")
 
 
+def _identity_test(node: ast.AST) -> str | None:
+    """The identity or type test ``node`` makes, rendered, if it makes one."""
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if isinstance(op, (ast.Is, ast.IsNot)) and not any(
+                    isinstance(side, ast.Constant) and side.value is None
+                    for side in (left, right)):
+                return ast.unparse(node)
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _TYPE_TESTS):
+        return ast.unparse(node)
+    return None
+
+
+@functools.lru_cache(maxsize=1024)
+def _scan(code: types.CodeType) -> tuple:
+    """``(test, helpers, self_calls)`` of one function's source.
+
+    ``test`` is the first identity or type test (or why the source
+    cannot be screened), ``helpers`` the names it calls directly and
+    ``self_calls`` the attribute chains it calls on its first argument.
+    """
+    # ``inspect.getsource`` would first search ``sys.modules`` for the
+    # code's module; the file and first line are all a block needs.
+    lines = linecache.getlines(code.co_filename)
+    try:
+        tree = ast.parse(textwrap.dedent("".join(
+            inspect.getblock(lines[code.co_firstlineno - 1:]))))
+    except (IndexError, SyntaxError, tokenize.TokenError):
+        tree = None
+    if tree is None or not tree.body:
+        return ("its source cannot be read", (), ())
+    first = tree.body[0]
+    arguments = getattr(first, "args", None)
+    receiver = (arguments.args[0].arg
+                if arguments is not None and arguments.args else None)
+    helpers: set[str] = set()
+    self_calls: set[tuple[str, ...]] = set()
+    for node in ast.walk(tree):
+        test = _identity_test(node)
+        if test is not None:
+            return (f"{test!r} (line {code.co_firstlineno + node.lineno - 1})",
+                    (), ())
+        if not isinstance(node, ast.Call):
+            continue
+        chain: list[str] = []
+        target = node.func
+        while isinstance(target, ast.Attribute):
+            chain.insert(0, target.attr)
+            target = target.value
+        if isinstance(target, ast.Name):
+            if not chain:
+                helpers.add(target.id)
+            elif target.id == receiver:
+                self_calls.add(tuple(chain))
+    return (None, tuple(sorted(helpers)), tuple(sorted(self_calls)))
+
+
+def _screen(call: EnergyCall) -> str | None:
+    """Why the body's identity or type tests keep it sampled, if they do.
+
+    Screens the called method, the functions of its own module it calls
+    by name, the methods of its own module or energy methods it calls on
+    its receiver, and the callables its closure captures (a binding
+    overlay's wrapper captures the wrapped method).
+    """
+    try:
+        pending = [getattr(call.interface, call.method)
+                   if isinstance(call.method, str) else call.method]
+    except Exception:  # noqa: BLE001 - the trace reports a failed lookup
+        return None
+    module = None
+    seen: set[tuple[int, int]] = set()
+    while pending:
+        target = pending.pop()
+        owner = getattr(target, "__self__", None)
+        func = inspect.unwrap(getattr(target, "__func__", target))
+        code = getattr(func, "__code__", None)
+        if code is None or (id(code), id(owner)) in seen:
+            continue
+        seen.add((id(code), id(owner)))
+        module = module or func.__module__
+        test, helpers, self_calls = _scan(code)
+        if test is not None:
+            return (f"identity or type test in {func.__qualname__}: {test}; "
+                    f"a symbolic leaf cannot answer it as a draw would")
+        for name in helpers:
+            helper = func.__globals__.get(name)
+            if (isinstance(helper, types.FunctionType)
+                    and helper.__module__ == module):
+                pending.append(helper)
+        for chain in self_calls if owner is not None else ():
+            try:
+                found = functools.reduce(getattr, chain, owner)
+            except Exception:  # noqa: BLE001 - a call the body never makes
+                continue
+            inner = inspect.unwrap(getattr(found, "__func__", found))
+            if isinstance(inner, types.FunctionType) and (
+                    inner.__module__ == module
+                    or inner.__name__.startswith("E_")):
+                pending.append(found)
+        for cell in func.__closure__ or ():
+            try:
+                captured = cell.cell_contents
+            except ValueError:
+                continue
+            if isinstance(captured, (types.FunctionType, types.MethodType)):
+                pending.append(captured)
+    return None
+
+
 def trace_call(call: EnergyCall, env: ECVEnvironment,
                max_traces: int | None = None) -> TracedProgram:
     """Partially evaluate ``call`` under ``env``.
@@ -258,6 +387,9 @@ def trace_call(call: EnergyCall, env: ECVEnvironment,
     call as the sampled tier).
     """
     cap = MAX_COMPILE_TRACES if max_traces is None else int(max_traces)
+    reason = _screen(call)
+    if reason is not None:
+        raise UntraceableBody(reason)
     fn: Callable[[], Any] = call
     # Pass 1: fully symbolic, straight-line.
     context = _CompileContext(env, forced=[], symbolic_discrete=True)

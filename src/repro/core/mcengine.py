@@ -1,10 +1,10 @@
-"""Monte Carlo evaluation engines: serial and vectorized sampling.
+"""Monte Carlo evaluation engines: the per-sample loop and its kernels.
 
 §3 of the paper makes an interface's return value a *distribution* once
 ECVs are bound; whenever a continuous ECV blocks exact enumeration the
-evaluator falls back to Monte Carlo.  Before this module the fallback was
-a per-sample Python loop — every layer above hardware paid that sampling
-tax on every probabilistic answer.  This module removes it:
+evaluator falls back to Monte Carlo.  The per-sample Python loop defines
+what a draw is; the vector engine answers from a compiled kernel where
+one exists and is checked against that loop:
 
 :class:`SerialEngine`
     The reference engine: one Python pass per sample, full per-sample
@@ -16,12 +16,16 @@ tax on every probabilistic answer.  This module removes it:
     fresh-context-per-sample loop it must match bit for bit.
 
 :class:`VectorEngine`
-    Runs the interface *once* over whole sample columns
-    (:meth:`~repro.core.ecv.ECV.sample_n` bulk draws, numpy broadcasting
-    for the arithmetic).  Interfaces that branch on an ECV value raise on
-    the array (ambiguous truth value) and the engine transparently falls
-    back to the per-sample loop **over the same columns** — results are
-    bitwise-identical either way.
+    Answers an :class:`~repro.core.interface.EnergyCall` from the call's
+    compiled kernel (:mod:`repro.compile`) over whole sample columns
+    (:meth:`~repro.core.ecv.ECV.sample_n` bulk draws), else runs the
+    per-sample loop.  Every kernel answer is audited: the loop runs
+    sample 0, the first sample on each path the kernel took and the
+    first sample taking each value of each discrete leaf, and must
+    reproduce the kernel's draws there bit for bit; otherwise the entry
+    is dropped and the loop's draws are the answer.  A kernel that
+    defers, and any evaluation with a span recorder attached, runs the
+    loop too, so the draws are the loop's either way.
 
 Replay discipline
 -----------------
@@ -32,7 +36,7 @@ keyed form of ``SeedSequence.spawn``) from a single *entropy* integer.
 The entropy comes from the session (its seed, else the pinned historical
 constant ``0xEC5``, else one draw from an explicit ``rng=`` override), so
 
-* serial == vectorized, bitwise, and
+* serial == vector, bitwise, and
 * repeated evaluations in equal-seed sessions replay exactly.
 
 Sharing columns across evaluations of one session also gives *common
@@ -134,13 +138,6 @@ class ColumnStore:
         return np.random.default_rng(seq)
 
 
-def _column_summary(column: np.ndarray) -> str:
-    """A compact, hashable stand-in recorded for a whole-column ECV read."""
-    if column.dtype.kind in "bifu" and column.size:
-        return f"batch[{column.size}] mean={float(np.mean(column)):.6g}"
-    return f"batch[{column.size}]"
-
-
 class _ArrayValues:
     """A column read per index, for columns ``tolist()`` cannot stand in for."""
 
@@ -207,6 +204,9 @@ class _ColumnContext(_BaseContext):
         #: ``(qualified, occurrence) ->`` that column's values.
         self._values: dict[tuple[str, int], Any] = {}
 
+    #: How a column's values are read: whole, for a loop over every sample.
+    _values_of = staticmethod(_column_values)
+
     def reset(self, index: int) -> None:
         """Start sample ``index`` as a fresh context would."""
         self.env = self._task_env
@@ -231,7 +231,7 @@ class _ColumnContext(_BaseContext):
         values = self._values.get((qualified, occurrence))
         if values is None:
             store = self._store
-            values = _column_values(
+            values = self._values_of(
                 store.column(qualified, occurrence, ecv), store.n)
             self._values[(qualified, occurrence)] = values
         value = values[self._index]
@@ -239,33 +239,6 @@ class _ColumnContext(_BaseContext):
         if self.session is not None:
             self.session._on_ecv_read(qualified, value)
         return value
-
-
-class _BatchContext(_BaseContext):
-    """Batched Monte Carlo context: ECV reads return whole columns.
-
-    The batched replacement for ``_SamplingContext``: interface code runs
-    *once* with each ECV read yielding the full length-``n`` column, and
-    numpy broadcasting evaluates all samples simultaneously.  Interfaces
-    that need a scalar (branching, ``int()``, dict lookup) raise on the
-    array, which the :class:`VectorEngine` turns into a per-sample
-    fallback over the same columns.
-    """
-
-    def __init__(self, env: ECVEnvironment, store: ColumnStore,
-                 session: "EvalSession | None" = None) -> None:
-        super().__init__(env, session)
-        self._store = store
-        self._occurrence: dict[str, int] = {}
-
-    def read(self, owner: Any, name: str) -> np.ndarray:
-        ecv = self._resolve(owner, name)
-        qualified = f"{owner.name}.{name}"
-        occurrence = self._occurrence.get(qualified, 0)
-        self._occurrence[qualified] = occurrence + 1
-        column = self._store.column(qualified, occurrence, ecv)
-        self._record(qualified, _column_summary(column))
-        return column
 
 
 @dataclass
@@ -277,10 +250,6 @@ class MCTask:
     n: int
     entropy: int
     session: "EvalSession | None" = None
-
-
-class _NotVectorizable(Exception):
-    """Internal: the batched pass produced output of the wrong shape."""
 
 
 def _outcome_scalar(value: Any, store: ColumnStore, index: int) -> float:
@@ -296,33 +265,6 @@ def _outcome_scalar(value: Any, store: ColumnStore, index: int) -> float:
             return float(value.mean())
         return float(value.sample(store.outcome_rng(index), 1)[0])
     return float(value)
-
-
-def _outcome_vector(value: Any, store: ColumnStore, n: int) -> np.ndarray:
-    """All samples' outcomes from one batched pass, as a float column."""
-    if isinstance(value, AbstractEnergy):
-        raise EvaluationError(
-            "Monte-Carlo evaluation needs concrete energies; ground "
-            "abstract units first")
-    if isinstance(value, Energy):
-        value = value.as_joules
-    if isinstance(value, EnergyDistribution):
-        if isinstance(value, PointMass):
-            return np.full(n, value.mean())
-        # A distribution with scalar parameters (otherwise constructing
-        # it from columns would have raised): draw per sample with the
-        # same per-index generators the serial path uses.
-        return np.array([
-            float(value.sample(store.outcome_rng(index), 1)[0])
-            for index in range(n)])
-    array = np.asarray(value, dtype=float)
-    if array.ndim == 0:
-        return np.full(n, float(array))
-    if array.shape != (n,):
-        raise _NotVectorizable(
-            f"batched evaluation produced shape {array.shape}, "
-            f"expected ({n},)")
-    return array
 
 
 def _bound_call(fn: Callable[[], Any]) -> Callable[[], Any]:
@@ -370,6 +312,34 @@ def _per_sample(task: MCTask, store: ColumnStore) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
+class _AuditContext(_ColumnContext):
+    """A column context reading single entries, for a few samples."""
+
+    _values_of = staticmethod(lambda column, n: _ArrayValues(column))
+
+
+def _audit(task: MCTask, draws: np.ndarray, indices: list[int],
+           store: ColumnStore) -> int | None:
+    """The first of ``indices`` where the per-sample loop differs from ``draws``.
+
+    Runs those samples as :func:`_per_sample` does, over ``store``'s
+    columns but with no session: no hook event, span, statistic or memo
+    write.  A sample that raises differs.
+    """
+    fn = _bound_call(task.fn)
+    context = _AuditContext(task.env, store)
+    for index in indices:
+        context.reset(index)
+        try:
+            value = _outcome_scalar(_run_in_context(fn, context), store,
+                                    index)
+        except Exception:  # noqa: BLE001 - the loop raises it again
+            return index
+        if np.float64(value).tobytes() != draws[index].tobytes():
+            return index
+    return None
+
+
 class MCEngine:
     """Strategy interface: produce the ``n`` Monte Carlo draws of a task."""
 
@@ -397,43 +367,66 @@ class SerialEngine(MCEngine):
 
 
 class VectorEngine(MCEngine):
-    """One batched pass over whole columns, per-sample fallback on error.
+    """The call's compiled kernel, audited against the per-sample loop.
 
-    The batch shows up in the session's hook chain as a first-class
-    event: the recorder sees one trace whose value is the empirical
-    distribution of all draws, and accounting hooks receive
+    A kernel answer shows up in the session's hook chain as one batched
+    trace: the trace opens, and its close is
     :meth:`~repro.core.session.EvalHook.on_batch` with the sample count
-    (so trace budgets count the same work as a serial run).
+    and the empirical distribution of all draws (so trace budgets count
+    the same work as a serial run).  Everything else runs
+    :func:`_per_sample` with its per-sample events.
     """
 
     name = "vector"
 
     def draws(self, task: MCTask) -> np.ndarray:
         store = ColumnStore(task.entropy, task.n)
+        entry = _task_kernel(task)
+        if entry is None:
+            return _per_sample(task, store)
+        from repro.compile import KernelDeferred
+        try:
+            draws = entry.draws(task.entropy, task.n, store)
+            indices = entry.audit_indices(store)
+        except KernelDeferred:
+            return _per_sample(task, store)
+        # The audit reads columns the loop draws itself.
+        reference = ColumnStore(task.entropy, task.n)
+        mismatch = _audit(task, draws, indices, reference)
         session = task.session
+        if mismatch is not None:
+            if session is not None:
+                session._drop_kernel(task.fn, task.env)
+                session._annotate(f"kernel audit: {mismatch}")
+            return _per_sample(task, reference)
         if session is not None:
             session._on_trace_begin()
-        try:
-            context = _BatchContext(task.env, store, session=session)
-            value = _run_in_context(task.fn, context)
-            draws = _outcome_vector(value, store, task.n)
-        except EvaluationError:
-            # A genuine semantic error (abstract energies, unknown ECV):
-            # the per-sample path would raise it identically.
-            if session is not None:
-                session._abort_trace()
-            raise
-        except Exception:
-            # The interface needed scalars (branched on an ECV, called
-            # math.*, indexed a dict...).  Re-run per sample over the
-            # same columns: bitwise-identical draws, historical hook
-            # semantics.
-            if session is not None:
-                session._abort_trace()
-            return _per_sample(task, store)
-        if session is not None:
             session._on_batch(task.n, Empirical(draws))
         return draws
+
+
+def _task_kernel(task: MCTask) -> Any:
+    """The compiled entry whose kernel answers ``task``, if one does.
+
+    Only an :class:`EnergyCall` has a compile key, and a session with a
+    span recorder needs the loop's nested spans and ECV reads.  A task
+    without a session compiles without a cache.  Compilation errors are
+    left to the loop, which raises the reference error.
+    """
+    if type(task.fn) is not EnergyCall or task.n < 1:
+        return None
+    session = task.session
+    try:
+        if session is None:
+            from repro.compile import compile_call
+            entry = compile_call(task.fn, task.env)
+        elif session.recorder is not None:
+            return None
+        else:
+            entry = session._kernel_entry(task.fn, task.env)
+    except Exception:  # noqa: BLE001 - the loop raises the reference error
+        return None
+    return entry if entry.kernel is not None else None
 
 
 _SERIAL = SerialEngine()

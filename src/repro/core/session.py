@@ -148,8 +148,8 @@ def _mean_joules(value: Any) -> float | None:
     if isinstance(value, Energy):
         value = value.as_joules
     if isinstance(value, np.ndarray):
-        # A vector-valued outcome from a batched Monte Carlo pass: its
-        # expected Joules is the mean over the sample column.
+        # A vector-valued outcome (a body returning a sample column):
+        # its expected Joules is the mean over the column.
         return float(np.mean(value)) if value.size else None
     if isinstance(value, EnergyDistribution):
         return float(value.mean())
@@ -786,14 +786,6 @@ class SpanRecorder(EvalHook):
         frame.trace_root = _ObsNode("<trace>", "", ())
         frame.stack = [frame.trace_root]
 
-    def abort_trace(self) -> None:
-        """Discard a begun trace (a batched pass that fell back)."""
-        if not self._frames:
-            return
-        frame = self._frames[-1]
-        frame.trace_root = None
-        frame.stack = None
-
     def end_trace(self, weight: float, value: Any) -> None:
         if not self._frames:
             return
@@ -960,6 +952,8 @@ class EvalSession:
         self.hooks: list[EvalHook] = list(hooks or [])
         self._index_hooks()
         self.stats = {"evaluations": 0, "traces": 0, "memo_hits": 0}
+        #: The vector engine's kernel table, built on first use.
+        self._kernels: Any = None
 
     # -- hook plumbing --------------------------------------------------------
     # recorder/memo are cached because instrumented E_* methods consult
@@ -1018,7 +1012,7 @@ class EvalSession:
                 hook.on_trace(weight, value)
 
     def _on_batch(self, n: int, value: Any) -> None:
-        """A batched Monte-Carlo pass finished: ``n`` samples in one event.
+        """A kernel answered ``n`` Monte-Carlo samples in one event.
 
         The recorder closes the (single) trace it opened for the batch
         with the full empirical distribution; every other hook gets the
@@ -1032,17 +1026,31 @@ class EvalSession:
             else:
                 hook.on_batch(n, value)
 
-    def _abort_trace(self) -> None:
-        """Discard a begun trace (a batched pass is falling back)."""
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.abort_trace()
-
     def _annotate(self, note: str) -> None:
         """Surface a machinery diagnostic on the open span, if recording."""
         recorder = self.recorder
         if recorder is not None:
             recorder.annotate(note)
+
+    # -- the kernel table -----------------------------------------------------
+    def _kernel_entry(self, call: EnergyCall, env: ECVEnvironment) -> Any:
+        """The compiled entry the vector engine answers ``call`` from.
+
+        Each session owns one bounded, exactly revalidated
+        :class:`~repro.compile.compiler.CompileCache`, as it owns its
+        memo: a fresh session starts cold, and no table outlives the
+        sessions whose interfaces it holds.
+        """
+        if self._kernels is None:
+            from repro.compile import CompileCache
+            self._kernels = CompileCache(p_quantum=self.p_quantum,
+                                         exact=True)
+        return self._kernels.get(call, env, max_traces=self.max_traces)
+
+    def _drop_kernel(self, call: EnergyCall, env: ECVEnvironment) -> None:
+        """Forget a kernel whose audit failed, so the next use recompiles."""
+        if self._kernels is not None:
+            self._kernels.drop(call, env)
 
     # -- RNG ------------------------------------------------------------------
     def _sampling_rng(self, override: np.random.Generator | None

@@ -9,11 +9,14 @@ against still hold.  These tests pin the invalidation contract:
 * mutating a *declared* ECV in place (a manager re-learning a hit rate)
   → the stale entry is invalidated on the next lookup and recompiled;
 * sub-quantum drift in a bound probability → still a hit (the quantised
-  fingerprint policy shared with ``MemoHook``).
+  fingerprint policy shared with ``MemoHook``), except in a session's
+  kernel table, which revalidates exactly;
+* two interfaces that share a name → two entries.
 """
 
 import pytest
 
+from repro.apps.drone import DroneSpec, MissionEnergyInterface
 from repro.compile import CompileCache, CompiledBackend
 from repro.core.distributions import Discrete, PointMass
 from repro.core.ecv import BernoulliECV, ContinuousECV, ECVEnvironment
@@ -68,6 +71,20 @@ class TestCacheHits:
         cache.get(iface("E_lookup", 128), ECVEnvironment.EMPTY)
         assert len(cache) == 2
         assert cache.stats["misses"] == 2
+
+    def test_interfaces_sharing_a_name_are_different_entries(self):
+        backend = CompiledBackend()
+        light = MissionEnergyInterface(DroneSpec())
+        heavy = MissionEnergyInterface(DroneSpec(empty_mass_kg=2.8))
+        assert light.name == heavy.name
+        means = []
+        for interface in (light, heavy):
+            call = interface("E_leg", 3000.0, 60.0, 0.5, 12.0)
+            compiled = backend.mean(call)
+            assert compiled == CompiledBackend().fallback.mean(call)
+            means.append(compiled)
+        assert means[1] > means[0]
+        assert len(backend.cache) == 2
 
     def test_lru_eviction(self):
         cache = CompileCache(maxsize=2)
@@ -127,6 +144,33 @@ class TestEnvChangeInvalidation:
         second = cache.get(iface("E_lookup", 1000), ECVEnvironment.EMPTY)
         assert second is first
         assert cache.stats["invalidations"] == 0
+
+    def test_exact_revalidation_recompiles_sub_quantum_drift(self):
+        cache = CompileCache(exact=True)
+        iface = ContinuousCacheIface(p_hit=0.5)
+        first = cache.get(iface("E_lookup", 1000), ECVEnvironment.EMPTY)
+        assert first.leaves and cache.get(
+            iface("E_lookup", 1000), ECVEnvironment.EMPTY) is first
+        iface.declare_ecv(BernoulliECV("hit", p=0.5 + 1e-6,
+                                       description="tiny drift"))
+        second = cache.get(iface("E_lookup", 1000), ECVEnvironment.EMPTY)
+        assert second is not first
+        assert cache.stats["invalidations"] == 1
+
+    def test_session_kernel_table_answers_exactly_after_drift(self):
+        iface = ContinuousCacheIface(p_hit=0.5)
+        session = EvalSession(seed=7)
+        evaluate(iface("E_lookup", 64), session=session,
+                 mode="distribution", n_samples=500)
+        iface.declare_ecv(BernoulliECV("hit", p=0.507,
+                                       description="tiny drift"))
+        vector = evaluate(iface("E_lookup", 64), session=session,
+                          mode="distribution", n_samples=500)
+        serial = evaluate(iface("E_lookup", 64),
+                          session=EvalSession(seed=7, engine="serial"),
+                          mode="distribution", n_samples=500)
+        assert vector._samples.tobytes() == serial._samples.tobytes()
+        assert session._kernels.stats["invalidations"] == 1
 
 
 class TestBackendCacheIntegration:

@@ -1,8 +1,7 @@
 """Predicated kernels against the Monte Carlo engines, bitwise.
 
-A body that branches on a continuous ECV makes the vector engine fall
-back to its per-sample loop, so the per-sample loop is the reference:
-kernel draws must equal :class:`~repro.core.mcengine.SerialEngine` and
+The per-sample loop is the reference: kernel draws must equal
+:class:`~repro.core.mcengine.SerialEngine` and
 :class:`~repro.core.mcengine.VectorEngine` draws bit for bit, and where
 that loop raises, the kernel must defer so the compiled backend raises
 the same error from the same code.
@@ -23,11 +22,6 @@ from repro.core.session import EvalSession, SpanRecorder
 from repro.core.units import Energy
 
 from .fixtures import LoadInterface, nan_sampler
-
-#: The vector engine's batched attempt divides by zero before it falls
-#: back to its per-sample loop on the zero-divisor fixture.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:divide by zero encountered:RuntimeWarning")
 
 MAX_HEADWIND = 8.0
 LOAD_METHODS = ("E_pow", "E_divmod", "E_zero_divisor", "E_nan_quotient",
@@ -99,15 +93,12 @@ def test_kernel_draws_equal_both_engines(label, data, seed, n):
         kernel = entry.draws(seed, n)
     except KernelDeferred:
         kernel = None
-    if n < 2:
-        assert kernel is None
+    assert same(serial, vector)
+    # The kernel defers exactly where the reference loop raises.
+    if isinstance(serial, tuple):
+        assert kernel is None, f"kernel answered where {serial} raised"
     else:
-        assert same(serial, vector)
-        # The kernel defers exactly where the reference loop raises.
-        if isinstance(serial, tuple):
-            assert kernel is None, f"kernel answered where {serial} raised"
-        else:
-            assert kernel is not None and same(kernel, serial)
+        assert kernel is not None and same(kernel, serial)
     # Through sessions: the compiled backend answers (or raises) exactly
     # as the sampled backend does under either engine.
     for engine in ("serial", "vector"):
@@ -153,18 +144,21 @@ class TestDeferral:
         entry = backend.cache.get(call, ECVEnvironment.EMPTY)
         assert entry.tier == "kernel" and not entry._results
 
-    def test_single_sample_defers_with_a_note(self):
+    def test_single_sample_answers_from_the_kernel(self):
         backend = CompiledBackend()
         recorder = SpanRecorder()
         session = EvalSession(seed=5, backend=backend, hooks=[recorder])
         call = MissionEnergyInterface(DroneSpec())(
             "E_leg", 3000.0, 60.0, 0.5, 12.0)
-        evaluate(call, session=session, mode="distribution", n_samples=1)
+        dist = evaluate(call, session=session, mode="distribution",
+                        n_samples=1)
         notes = [note for span in recorder.last_root.walk()
                  for note in span.notes]
-        assert any(note.startswith("compile fallback: n_samples=1")
-                   for note in notes)
-        assert backend.stats["sampled"] == 1
+        assert not any(note.startswith("compile fallback") for note in notes)
+        assert backend.stats == {"analytic": 0, "kernel": 1, "sampled": 0}
+        serial = SerialEngine().draws(MCTask(
+            fn=call, env=ECVEnvironment.EMPTY, n=1, entropy=5))
+        assert np.asarray(dist._samples).tobytes() == serial.tobytes()
 
 
 class TestTracing:

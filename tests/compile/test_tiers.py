@@ -3,7 +3,8 @@
 The compile layer's contract, checked app by app:
 
 * **kernel** paths produce draws *bitwise identical* to a
-  :class:`~repro.core.mcengine.VectorEngine` run at the same entropy;
+  :class:`~repro.core.mcengine.VectorEngine` run at the same entropy
+  (the per-sample loop's draws, which that engine answers with);
 * **analytic** paths produce a closed-form mean and quantiles contained
   in the interval the affine/interval machinery proves for the body;
 * **sampled** fallbacks answer exactly what the plain sampled backend

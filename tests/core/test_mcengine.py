@@ -1,10 +1,11 @@
 """Tests for :mod:`repro.core.mcengine`: the Monte Carlo engines.
 
-Three contracts, one file:
+Four contracts, one file:
 
-* **replay identity** — at a fixed seed, serial and vectorized runs
-  produce bitwise-identical draws, whether or not the interface
-  vectorizes (the fallback runs over the same columns);
+* **replay identity** — at a fixed seed, serial and vector runs produce
+  bitwise-identical draws, whether the vector engine answers from the
+  call's compiled kernel (audited against the per-sample loop) or runs
+  that loop itself over the same columns;
 * **column sampling** — for every ECV kind, ``sample_n(rng, n)`` is
   bitwise-equal to ``n`` sequential ``sample()`` calls from an
   identically-seeded generator (the property the whole replay story
@@ -61,7 +62,7 @@ from . import column_loop_oracle
 
 
 class VectorizableInterface(EnergyInterface):
-    """Pure arithmetic over its ECVs: the batch attempt succeeds."""
+    """Pure arithmetic over its ECVs: the vector engine's kernel answers."""
 
     def __init__(self):
         super().__init__("vec")
@@ -76,7 +77,7 @@ class VectorizableInterface(EnergyInterface):
 
 
 class BranchingInterface(EnergyInterface):
-    """Branches on sampled values: the batch attempt must fall back."""
+    """Branches on sampled values: the vector engine runs the loop."""
 
     def __init__(self):
         super().__init__("branchy")
