@@ -5,78 +5,49 @@ over interval, taint and side-effect analyses), and differential (the
 ``repro-energy regress`` fingerprint baseline, diff rules EB201–EB206
 and commit bisection)."""
 
-from repro.analysis.expr import (
-    BinOp,
-    Compare,
-    Const,
-    EnergyTerm,
-    Expr,
-    FreshSymbol,
-    UnaryOp,
-    Var,
-    as_expr,
-    evaluate_expr,
-)
-from repro.analysis.extract import ExtractedInterface, extract_interface
-from repro.analysis.fingerprint import (
-    DEVICE_PROFILES,
-    FingerprintSet,
-    InterfaceFingerprint,
-    PathFingerprint,
-    fingerprint_function,
-    fingerprint_paths,
-    load_fingerprints,
-)
-from repro.analysis.intervals import (
-    AffineForm,
-    Interval,
-    bound_expr,
-    condition_status,
-    linearize,
-)
-from repro.analysis.lint import (
-    LINT_RULE_IDS,
-    REGRESS_RULE_IDS,
-    RULES,
-    Finding,
-    Rule,
-    lint_function,
-    lint_module,
-    lint_paths,
-)
-from repro.analysis.regress import (
-    BisectResult,
-    BisectStep,
-    bisect_range,
-    diff_fingerprints,
-    fingerprint_at_commit,
-)
-from repro.analysis.sideeffects import (
-    RADIO_MODEL,
-    DeviceStateModel,
-    ModuleAnalysis,
-    analyze_module,
-    analyze_sequence,
-)
-from repro.analysis.symbex import PathSummary, ResourceModel, symbolic_execute
-from repro.analysis.taint import TaintedUse, analyze_taint, tainted_symbols
-from repro.analysis.verify import DivergenceReport, EnergyBug, divergence_test
+import importlib
 
-__all__ = [
-    "Expr", "Const", "Var", "FreshSymbol", "BinOp", "Compare", "UnaryOp",
-    "EnergyTerm", "as_expr", "evaluate_expr",
-    "ResourceModel", "PathSummary", "symbolic_execute",
-    "ExtractedInterface", "extract_interface",
-    "DeviceStateModel", "ModuleAnalysis", "analyze_module",
-    "analyze_sequence", "RADIO_MODEL",
-    "EnergyBug", "DivergenceReport", "divergence_test",
-    "Interval", "AffineForm", "bound_expr", "condition_status", "linearize",
-    "TaintedUse", "analyze_taint", "tainted_symbols",
-    "Rule", "RULES", "LINT_RULE_IDS", "REGRESS_RULE_IDS", "Finding",
-    "lint_function", "lint_module", "lint_paths",
-    "DEVICE_PROFILES", "PathFingerprint", "InterfaceFingerprint",
-    "FingerprintSet", "fingerprint_function", "fingerprint_paths",
-    "load_fingerprints",
-    "BisectStep", "BisectResult", "diff_fingerprints",
-    "fingerprint_at_commit", "bisect_range",
-]
+#: Where each exported name lives.  The submodules load on first use
+#: (PEP 562), so importing one of them (the compiler needs only ``expr``
+#: and ``intervals``) does not load the rest of the toolchain.
+_EXPORTS = {
+    "expr": ("BinOp", "Compare", "Const", "EnergyTerm", "Expr",
+             "FreshSymbol", "UnaryOp", "Var", "as_expr", "evaluate_expr"),
+    "extract": ("ExtractedInterface", "extract_interface"),
+    "fingerprint": ("DEVICE_PROFILES", "FingerprintSet",
+                    "InterfaceFingerprint", "PathFingerprint",
+                    "fingerprint_function", "fingerprint_paths",
+                    "load_fingerprints"),
+    "intervals": ("AffineForm", "Interval", "bound_expr",
+                  "condition_status", "linearize"),
+    "lint": ("LINT_RULE_IDS", "REGRESS_RULE_IDS", "RULES", "Finding", "Rule",
+             "lint_function", "lint_module", "lint_paths"),
+    "regress": ("BisectResult", "BisectStep", "bisect_range",
+                "diff_fingerprints", "fingerprint_at_commit"),
+    "sideeffects": ("RADIO_MODEL", "DeviceStateModel", "ModuleAnalysis",
+                    "analyze_module", "analyze_sequence"),
+    "symbex": ("PathSummary", "ResourceModel", "symbolic_execute"),
+    "taint": ("TaintedUse", "analyze_taint", "tainted_symbols"),
+    "verify": ("DivergenceReport", "EnergyBug", "divergence_test"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(f"{__name__}.{module}"),
+                        name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME) | set(_EXPORTS))

@@ -320,21 +320,17 @@ def _mark_uses(node: dict) -> set[str]:
 
 
 def _emit_node(node: dict, names: dict[str, str], index: str | None,
-               lines: list[str], fresh: Any, probe: bool = False) -> None:
+               lines: list[str], fresh: Any) -> None:
     """Emit one decision-tree node over its samples' compressed columns.
 
     ``names`` maps each ECV leaf the subtree reads to this node's copy of
     its column; ``index`` holds the node's sample positions in the
-    output (``None`` at the root, which holds every sample).  A
-    ``probe`` emits the same masks but, in place of each path's value,
-    records the first sample that reaches the path.
+    output (``None`` at the root, which holds every sample).  Each path
+    also records the first sample that reached it.
     """
     path = node.get("path")
     if path is not None:
-        if probe:
-            if path.guard is None:
-                lines.append(f"    first.append({index}[:1])")
-        elif path.guard is not None:
+        if path.guard is not None:
             lines.append(f"    if {index}.size: raise _Deferred("
                          f"{'a sample hits a guard path: ' + path.guard!r})")
         else:
@@ -343,6 +339,7 @@ def _emit_node(node: dict, names: dict[str, str], index: str | None,
             body = (_emit(path.expr, names) if path.expr is not None
                     else _emit(Const(path.value), names))
             lines.append(f"    out[{index}] = {body}")
+            lines.append(f"    first.append({index}[:1])")
         return
     mask = f"m{next(fresh)}"
     lines.append(f"    {mask} = {_emit(node['compare'], names)}")
@@ -357,29 +354,26 @@ def _emit_node(node: dict, names: dict[str, str], index: str | None,
             column = names[leaf].split("_")[0] + suffix
             lines.append(f"    {column} = {names[leaf]}[{select}]")
             child_names[leaf] = column
-        _emit_node(child, child_names, f"i{suffix}", lines, fresh, probe)
+        _emit_node(child, child_names, f"i{suffix}", lines, fresh)
 
 
-def _kernel_source(program: TracedProgram, leaves: list[ECVLeaf],
-                   probe: bool = False) -> str:
+def _kernel_source(program: TracedProgram, leaves: list[ECVLeaf]) -> str:
     """The kernel's source: a ``lambda`` or, with predicates, a ``def``.
 
     Both come from one emitter: a program without predicates is a single
-    decision-tree leaf over whole columns, which needs no masks.  The
-    ``probe`` of a predicated program returns the first sample on each
-    path the kernel took instead of the draws.
+    decision-tree leaf over whole columns, which needs no masks.  A
+    predicated kernel returns its draws and the first sample on each
+    path it took.
     """
     names = {leaf.name: f"c{index}" for index, leaf in enumerate(leaves)}
     params = ", ".join(names[leaf.name] for leaf in leaves)
     if not program.predicated:
         return f"lambda {params}: {_emit(program.paths[0].expr, names)}"
-    if probe:
-        lines = [f"def kernel({params}):", "    first = []"]
-    else:
-        lines = [f"def kernel({params}):", "    out = _empty(c0.shape[0])"]
+    lines = [f"def kernel({params}):", "    out = _empty(c0.shape[0])",
+             "    first = []"]
     _emit_node(_decision_tree(program.paths), names, None, lines,
-               itertools.count(), probe)
-    lines.append("    return first" if probe else "    return out")
+               itertools.count())
+    lines.append("    return out, first")
     return "\n".join(lines)
 
 
@@ -495,8 +489,6 @@ class CompiledCall:
     program: TracedProgram | None = None
     #: The kernel selects paths by continuous predicates.
     predicated: bool = False
-    #: A predicated kernel's path probe (see :func:`_kernel_source`).
-    probe: Any = None
     #: Positions in ``leaves`` of the leaves with a discrete support.
     discrete: tuple[int, ...] = ()
     _results: "OrderedDict[tuple, Any]" = field(
@@ -553,35 +545,43 @@ class CompiledCall:
         could not be (see the module docstring).  Nothing is cached
         here: :meth:`predict` keeps the results derived from the draws.
         """
-        if self.kernel is None:
-            raise UntraceableBody(
-                f"tier {self.tier!r} entry has no kernel draws")
         if store is None:
             store = ColumnStore(entropy, n)
-        array = np.asarray(_run_kernel(self.kernel, self._columns(store)),
-                           dtype=float)
-        if array.ndim == 0:
-            array = np.full(int(n), float(array))
-        return array
+        return self._run(store)[0]
 
-    def audit_indices(self, store: ColumnStore) -> list[int]:
-        """The samples at which to check :meth:`draws` against the loop.
+    def audited_draws(self, store: ColumnStore) -> tuple[np.ndarray,
+                                                         list[int]]:
+        """:meth:`draws` over ``store``, and the samples to audit them at.
 
-        Sample 0, the first sample on each path the kernel took, and
-        the first sample taking each value of each discrete leaf, read
-        from the columns :meth:`draws` just read from ``store``.
+        Those samples are sample 0, the first sample on each path the
+        kernel took and the first sample taking each value of each
+        discrete leaf.
         """
-        if store.n < 1:
-            return []
-        columns = self._columns(store)
+        array, first, columns = self._run(store)
+        if not store.n:
+            return array, []
         audit = {0}
-        if self.probe is not None:
-            for first in _run_kernel(self.probe, columns):
-                audit.update(first.tolist())
+        for path_first in first:
+            audit.update(path_first.tolist())
         for position in self.discrete:
             audit.update(np.unique(columns[position],
                                    return_index=True)[1].tolist())
-        return sorted(audit)
+        return array, sorted(audit)
+
+    def _run(self, store: ColumnStore) -> tuple[np.ndarray, list, list]:
+        """The draws, the first sample on each path, and the columns."""
+        if self.kernel is None:
+            raise UntraceableBody(
+                f"tier {self.tier!r} entry has no kernel draws")
+        columns = self._columns(store)
+        result = _run_kernel(self.kernel, columns)
+        first = []
+        if self.predicated:
+            result, first = result
+        array = np.asarray(result, dtype=float)
+        if array.ndim == 0:
+            array = np.full(store.n, float(array))
+        return array, first, columns
 
     def answers(self, entropy: int, n: int) -> tuple[Energy, Any]:
         """The ``expected`` and ``distribution`` answers of this entry.
@@ -749,11 +749,8 @@ def compile_call(call: EnergyCall, env: ECVEnvironment, *,
     # Tier 2: numpy kernel, bitwise equal to the per-sample loop or
     # deferring to it.
     if source is not None:
-        probe = (_build_kernel(_kernel_source(program, leaves, probe=True))
-                 if program.predicated else None)
         return CompiledCall(call=call, tier="kernel",
-                            predicated=program.predicated, probe=probe,
-                            **common)
+                            predicated=program.predicated, **common)
     if unsupported is not None:
         return _sampled(call, unsupported, declared)
     if not program.straight_line:

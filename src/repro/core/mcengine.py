@@ -23,9 +23,10 @@ one exists and is checked against that loop:
     sample 0, the first sample on each path the kernel took and the
     first sample taking each value of each discrete leaf, and must
     reproduce the kernel's draws there bit for bit; otherwise the entry
-    is dropped and the loop's draws are the answer.  A kernel that
-    defers, and any evaluation with a span recorder attached, runs the
-    loop too, so the draws are the loop's either way.
+    is dropped (the kernel table counts it in ``audit_failures``) and
+    the loop's draws are the answer.  A kernel that defers, and any
+    evaluation with a span recorder attached, runs the loop too, so the
+    draws are the loop's either way.
 
 Replay discipline
 -----------------
@@ -319,8 +320,8 @@ class _AuditContext(_ColumnContext):
 
 
 def _audit(task: MCTask, draws: np.ndarray, indices: list[int],
-           store: ColumnStore) -> int | None:
-    """The first of ``indices`` where the per-sample loop differs from ``draws``.
+           store: ColumnStore) -> bool:
+    """Whether the per-sample loop reproduces ``draws`` at ``indices``.
 
     Runs those samples as :func:`_per_sample` does, over ``store``'s
     columns but with no session: no hook event, span, statistic or memo
@@ -334,10 +335,10 @@ def _audit(task: MCTask, draws: np.ndarray, indices: list[int],
             value = _outcome_scalar(_run_in_context(fn, context), store,
                                     index)
         except Exception:  # noqa: BLE001 - the loop raises it again
-            return index
+            return False
         if np.float64(value).tobytes() != draws[index].tobytes():
-            return index
-    return None
+            return False
+    return True
 
 
 class MCEngine:
@@ -386,18 +387,15 @@ class VectorEngine(MCEngine):
             return _per_sample(task, store)
         from repro.compile import KernelDeferred
         try:
-            draws = entry.draws(task.entropy, task.n, store)
-            indices = entry.audit_indices(store)
+            draws, indices = entry.audited_draws(store)
         except KernelDeferred:
             return _per_sample(task, store)
         # The audit reads columns the loop draws itself.
         reference = ColumnStore(task.entropy, task.n)
-        mismatch = _audit(task, draws, indices, reference)
         session = task.session
-        if mismatch is not None:
+        if not _audit(task, draws, indices, reference):
             if session is not None:
                 session._drop_kernel(task.fn, task.env)
-                session._annotate(f"kernel audit: {mismatch}")
             return _per_sample(task, reference)
         if session is not None:
             session._on_trace_begin()

@@ -60,7 +60,12 @@ from repro.core.interface import (
     EnergyCall,
     enumerate_traces,
 )
-from repro.core.mcengine import DEFAULT_ENTROPY, MCEngine, resolve_engine
+from repro.core.mcengine import (
+    DEFAULT_ENTROPY,
+    MCEngine,
+    VectorEngine,
+    resolve_engine,
+)
 from repro.core.policy import Policy
 from repro.core.predict import resolve_backend
 from repro.core.units import AbstractEnergy, Energy
@@ -947,6 +952,10 @@ class EvalSession:
         self.max_traces = (self.DEFAULT_MAX_TRACES if max_traces is None
                            else int(max_traces))
         self.engine = resolve_engine(engine)
+        if isinstance(self.engine, VectorEngine):
+            # Its kernels come from the compiler: load it with the
+            # session rather than inside the first answer.
+            import repro.compile  # noqa: F401
         self.backend = resolve_backend(backend)
         self.p_quantum = p_quantum
         self.hooks: list[EvalHook] = list(hooks or [])
@@ -1045,12 +1054,17 @@ class EvalSession:
             from repro.compile import CompileCache
             self._kernels = CompileCache(p_quantum=self.p_quantum,
                                          exact=True)
+            self._kernels.stats["audit_failures"] = 0
         return self._kernels.get(call, env, max_traces=self.max_traces)
 
     def _drop_kernel(self, call: EnergyCall, env: ECVEnvironment) -> None:
-        """Forget a kernel whose audit failed, so the next use recompiles."""
+        """Forget a kernel whose audit failed, so the next use recompiles.
+
+        ``_kernels.stats["audit_failures"]`` counts these.
+        """
         if self._kernels is not None:
             self._kernels.drop(call, env)
+            self._kernels.stats["audit_failures"] += 1
 
     # -- RNG ------------------------------------------------------------------
     def _sampling_rng(self, override: np.random.Generator | None

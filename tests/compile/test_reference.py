@@ -175,18 +175,22 @@ def test_kernel_answer_keeps_the_batched_hook_shape(n):
 @given(seed=st.integers(0, 2 ** 32), scale=st.floats(1.5, 4.0))
 def test_audit_catches_a_kernel_gone_stale(seed, scale):
     """A constant changed in place after compiling: the kernel table's
-    entry still revalidates, and only the audit sees the stale kernel."""
+    entry still revalidates, and only the audit sees the stale kernel.
+    The failure is counted, and the recompiled kernel answers next."""
     interface = ReferenceInterface()
     call = interface("E_scaled", 2.0)
     session = EvalSession(seed=seed)
     evaluate(call, session=session, mode="distribution", n_samples=400)
     interface.scale = scale
-    answer = evaluate(call, session=session, mode="distribution",
-                      n_samples=400)
     serial = evaluate(call, session=EvalSession(seed=seed, engine="serial"),
                       mode="distribution", n_samples=400)
-    assert np.asarray(answer._samples).tobytes() == \
-        np.asarray(serial._samples).tobytes()
+    for failures in (1, 1):
+        answer = evaluate(call, session=session, mode="distribution",
+                          n_samples=400)
+        assert np.asarray(answer._samples).tobytes() == \
+            np.asarray(serial._samples).tobytes()
+        assert session._kernels.stats["audit_failures"] == failures
+    assert session._kernels.stats["misses"] == 2
 
 
 def test_interfaces_sharing_a_name_keep_their_own_kernels():
