@@ -5,9 +5,9 @@ valuable when *every* layer — and every node — can see and act on energy.
 This package scales the single-node serving gateway (PR 3-5) out to a
 fleet: N replicas behind a pluggable, energy-aware load balancer, with
 per-tenant budgets enforced globally through sharded token buckets and a
-lease/gossip coordinator.  The whole pipeline is virtual-time asyncio,
-seeded end to end, so a million-request run replays bitwise — experiment
-S4's claim.
+lease/gossip coordinator.  The whole pipeline is one synchronous
+dispatch loop over virtual time, seeded end to end, so a million-request
+run replays bitwise — experiment S4's claim.
 
 Layers, bottom-up:
 
@@ -16,7 +16,7 @@ Layers, bottom-up:
 * :mod:`~repro.fleet.costmodel` — how a replica prices a request
   (closed-form work units, or a real energy interface).
 * :mod:`~repro.fleet.replica` — :class:`FleetReplica`: bounded queue,
-  async worker, counter-based metrics.
+  drained oldest first, counter-based metrics.
 * :mod:`~repro.fleet.balancer` — round-robin, least-energy-in-flight and
   energy-weighted power-of-two-choices.
 * :mod:`~repro.fleet.fleet` — :class:`EnergyGatewayFleet`, the front

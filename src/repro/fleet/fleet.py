@@ -3,23 +3,27 @@
 :class:`EnergyGatewayFleet` is the subsystem's front door.  It builds
 the replicas, the balancer and the per-tenant budget shards from a
 :class:`~repro.core.policy.Policy`'s fleet knobs, then drives a
-trace of :class:`~repro.workloads.fleettrace.TenantRequest` through an
-asyncio pipeline:
+trace of :class:`~repro.workloads.fleettrace.TenantRequest` through one
+synchronous dispatch loop:
 
-* the **dispatcher** coroutine walks the (lazy) trace in arrival order,
-  asks the balancer for a preference order over live replicas, and
-  enqueues fast (``put_nowait``); when every live queue is full it
-  *awaits* the preferred queue — bounded-queue backpressure on the
-  client, counted, never silent;
-* each replica's **worker** coroutine admits against its budget shard
-  and settles measured energy (see :mod:`repro.fleet.replica`);
+* the **dispatcher** walks the (lazy) trace in arrival order, asks the
+  balancer for a preference order over live replicas, and enqueues to
+  the first whose bounded queue has room; when every live queue is full
+  it drains the replicas and enqueues to the preferred one —
+  bounded-queue backpressure on the client, counted, never silent;
+* a replica **drains** its queue oldest first, admitting against its
+  budget shard and settling measured energy (see
+  :mod:`repro.fleet.replica`);
 * the :class:`~repro.fleet.shards.LeaseCoordinator` keeps the tenant
   budgets globally consistent, so the invariant holds fleet-wide.
 
-Everything runs on one event loop with no wall-clock reads: the loop's
-FIFO ready queue makes the interleaving a pure function of the trace,
-so ``serve()`` at a fixed seed is bitwise-replayable — the property the
-S4 benchmark asserts.
+Replicas drain every ``_DRAIN_EVERY`` offered requests, before a
+backpressure enqueue, and once at the end of the trace.  Each time, the
+ready replicas drain in the order their queues last filled from empty
+(all of them, in index order, at the start); a crash empties a queue but
+keeps the replica's place.  Nothing reads a wall clock, so the
+interleaving is a pure function of the trace and ``serve()`` at a fixed
+seed is bitwise-replayable — the property the S4 benchmark asserts.
 
 Faults (:meth:`EnergyGatewayFleet.inject_faults`) consult the PR-5
 :class:`~repro.faults.FaultPlan` at two sites: ``"fleet.replica"``
@@ -31,12 +35,12 @@ whatever lease remains).
 
 from __future__ import annotations
 
-import asyncio
-from typing import Iterable, Iterator
+import math
+from typing import Iterable
 
 import numpy as np
 
-from repro.core.errors import BudgetError
+from repro.core.errors import BudgetError, ServingError
 from repro.core.mcengine import DEFAULT_ENTROPY
 from repro.core.policy import Policy
 from repro.faults.plan import FaultPlan
@@ -59,9 +63,18 @@ DEFAULT_LEASE_TTL_S = 5.0
 #: Monte Carlo 0xC0/0x0D and fault 0xFA families).
 _BALANCER_TAG = 0xB7
 
-#: Dispatcher yields to the workers every this many requests, so queue
-#: draining interleaves with arrivals instead of running in one burst.
-_YIELD_EVERY = 64
+#: Replicas drain every this many offered requests, so queue draining
+#: interleaves with arrivals instead of running in one burst.  The value
+#: fixes the interleaving that the committed report digests pin; the
+#: asyncio reference in ``tests/fleet`` yields at the same cadence.
+_DRAIN_EVERY = 64
+
+
+def _drain(ready: dict[FleetReplica, None]) -> None:
+    """Drain every ready replica, in ready order; none stays ready."""
+    for replica in ready:
+        replica.drain()
+    ready.clear()
 
 
 class EnergyGatewayFleet:
@@ -78,6 +91,17 @@ class EnergyGatewayFleet:
                  crash_downtime_s: float = 5.0) -> None:
         if not budgets:
             raise BudgetError("a fleet needs at least one tenant budget")
+        if queue_limit < 1:
+            raise ServingError(f"queue_limit must be >= 1, got {queue_limit}")
+        if crash_check_every < 1:
+            raise ServingError(
+                f"crash_check_every must be >= 1, got {crash_check_every}")
+        if not (math.isfinite(power_watts) and power_watts > 0):
+            raise ServingError(
+                f"power_watts must be finite and positive, got {power_watts}")
+        if not (math.isfinite(crash_downtime_s) and crash_downtime_s >= 0):
+            raise ServingError(f"crash_downtime_s must be finite and >= 0, "
+                               f"got {crash_downtime_s}")
         policy = policy if policy is not None else Policy()
         self.policy = policy
         self.n_replicas = policy.replicas or DEFAULT_REPLICAS
@@ -154,54 +178,46 @@ class EnergyGatewayFleet:
     def serve(self, requests: Iterable[TenantRequest],
               horizon_s: float | None = None) -> FleetReport:
         """Run the trace through the fleet; returns the roll-up report."""
-        return asyncio.run(self.aserve(requests, horizon_s))
-
-    async def aserve(self, requests: Iterable[TenantRequest],
-                     horizon_s: float | None = None) -> FleetReport:
-        for replica in self.replicas:
-            replica.open()
-        workers = [asyncio.ensure_future(replica.run())
-                   for replica in self.replicas]
+        # Replicas with work to drain, in the order their queues last
+        # filled from empty: assigning an existing key keeps its place.
+        ready = dict.fromkeys(self.replicas)
         offered = 0
         shed_no_replica = 0
         backpressure_waits = 0
         dispatch_counts = [0] * self.n_replicas
         last_now = 0.0
         n_tenants = len(self.tenant_names)
-        try:
-            for request in self._as_iterator(requests):
-                offered += 1
-                now = request.arrival_s
-                last_now = max(last_now, now)
-                if offered % self.crash_check_every == 0:
-                    self._maybe_crash(now)
-                if request.tenant >= n_tenants:
-                    raise BudgetError(
-                        f"request tenant index {request.tenant} has no "
-                        f"configured budget ({n_tenants} tenants)")
-                tenant = self.tenant_names[request.tenant]
-                expected, worst = self.cost_model.predict(request)
-                prefs = self.balancer.prefer(self.replicas, now)
-                if not prefs:
-                    shed_no_replica += 1
-                    continue
-                target = None
-                for replica in prefs:
-                    if replica.try_enqueue(request, tenant, expected, worst):
-                        target = replica
-                        break
-                if target is None:
-                    backpressure_waits += 1
-                    target = prefs[0]
-                    await target.enqueue_wait(request, tenant,
-                                              expected, worst)
-                dispatch_counts[target.index] += 1
-                if offered % _YIELD_EVERY == 0:
-                    await asyncio.sleep(0)
-        finally:
-            for replica in self.replicas:
-                await replica.stop()
-            await asyncio.gather(*workers)
+        for request in requests:
+            offered += 1
+            now = request.arrival_s
+            last_now = max(last_now, now)
+            if offered % self.crash_check_every == 0:
+                self._maybe_crash(now)
+            if request.tenant >= n_tenants:
+                raise BudgetError(
+                    f"request tenant index {request.tenant} has no "
+                    f"configured budget ({n_tenants} tenants)")
+            tenant = self.tenant_names[request.tenant]
+            expected, worst = self.cost_model.predict(request)
+            prefs = self.balancer.prefer(self.replicas, now)
+            if not prefs:
+                shed_no_replica += 1
+                continue
+            target = None
+            for replica in prefs:
+                if replica.try_enqueue(request, tenant, expected, worst):
+                    target = replica
+                    break
+            if target is None:
+                backpressure_waits += 1
+                _drain(ready)
+                target = prefs[0]
+                target.try_enqueue(request, tenant, expected, worst)
+            ready[target] = None
+            dispatch_counts[target.index] += 1
+            if offered % _DRAIN_EVERY == 0:
+                _drain(ready)
+        _drain(ready)
         horizon = float(horizon_s) if horizon_s is not None else last_now
         settle_now = max(horizon, last_now)
         for replica in self.replicas:
@@ -209,11 +225,6 @@ class EnergyGatewayFleet:
         return self._report(horizon, offered, shed_no_replica,
                             backpressure_waits, tuple(dispatch_counts),
                             settle_now)
-
-    @staticmethod
-    def _as_iterator(requests: Iterable[TenantRequest]
-                     ) -> Iterator[TenantRequest]:
-        return iter(requests)
 
     # -- roll-up -------------------------------------------------------------
     def _report(self, horizon: float, offered: int, shed_no_replica: int,

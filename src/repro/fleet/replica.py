@@ -1,18 +1,18 @@
-"""One gateway replica: a bounded queue, a worker, and budget shards.
+"""One gateway replica: a bounded queue, budget shards and counters.
 
 A :class:`FleetReplica` is the fleet's unit of scale — the single-node
 :class:`~repro.serving.gateway.EnergyAwareGateway` re-shaped for a
-million-request async pipeline:
+million-request pipeline:
 
-* requests arrive through a **bounded** :class:`asyncio.Queue`; the
+* requests arrive through a **bounded** :class:`collections.deque`; the
   dispatcher's ``try_enqueue`` fails fast when it is full so the
-  balancer can fall back to another replica, and ``enqueue_wait`` blocks
-  (backpressure on the slow client) only when the whole fleet is full;
-* a worker coroutine drains the queue: hard admission against the
-  tenant's :class:`~repro.fleet.shards.BudgetShard` (the request's
-  *worst-case* joules must fit the live lease), then the cost model's
-  measured energy settles the draw — so a replica can never spend a
-  joule its lease did not cover;
+  balancer can fall back to another replica;
+* :meth:`FleetReplica.drain` processes the queue oldest first: hard
+  admission against the tenant's :class:`~repro.fleet.shards.BudgetShard`
+  (the request's *worst-case* joules must fit the live lease), then the
+  cost model's measured energy settles the draw — so a replica can never
+  spend a joule its lease did not cover.  The fleet's dispatch loop
+  decides when each replica drains (see :mod:`repro.fleet.fleet`);
 * all bookkeeping is **counters and a log-binned latency histogram**,
   never per-request records: memory stays O(1) in the request count.
 
@@ -24,8 +24,8 @@ runs at the same seed replay bitwise.
 
 from __future__ import annotations
 
-import asyncio
 import math
+from collections import deque
 from typing import Callable
 
 from repro.core.errors import CalibrationStale
@@ -35,9 +35,6 @@ from repro.serving.metrics import ServingReport
 from repro.workloads.fleettrace import TenantRequest
 
 __all__ = ["LatencyHistogram", "FleetReplica"]
-
-#: Queue sentinel telling a worker its run is over.
-_STOP = object()
 
 
 class LatencyHistogram:
@@ -90,7 +87,7 @@ class LatencyHistogram:
 
 
 class FleetReplica:
-    """One async gateway replica with sharded budget admission."""
+    """One gateway replica with sharded budget admission."""
 
     def __init__(self, index: int, cost_model: CostModel,
                  shards: dict[str, BudgetShard],
@@ -115,13 +112,12 @@ class FleetReplica:
         self.calibration_guard = calibration_guard
         self.calibration_action = calibration_action
         self.calibration_widen_factor = float(calibration_widen_factor)
-        self._queue: asyncio.Queue | None = None
+        self._queue: deque[tuple[TenantRequest, str, float, float]] = deque()
         # -- balancer-visible load signal --------------------------------
         self._inflight_j = 0.0     # worst-mode joules enqueued, unfinished
         self._down_until = -math.inf
         # -- virtual clocks ----------------------------------------------
-        self._free_at = 0.0        # busy clock: when the worker idles next
-        self._last_now = 0.0
+        self._free_at = 0.0        # busy clock: when the replica idles next
         # -- counters (never per-request records) ------------------------
         self.offered = 0           # requests enqueued to this replica
         self.admitted = 0
@@ -143,40 +139,22 @@ class FleetReplica:
 
     @property
     def queue_depth(self) -> int:
-        return self._queue.qsize() if self._queue is not None else 0
+        return len(self._queue)
 
     @property
     def inflight_j(self) -> float:
         return self._inflight_j
 
-    # -- lifecycle ----------------------------------------------------------
-    def open(self) -> None:
-        """Create the bounded queue (must run inside the event loop)."""
-        self._queue = asyncio.Queue(maxsize=self.queue_limit)
-
+    # -- queue ------------------------------------------------------------
     def try_enqueue(self, request: TenantRequest, tenant: str,
                     expected_j: float, worst_j: float) -> bool:
         """Non-blocking enqueue; False when the queue is full."""
-        assert self._queue is not None
-        try:
-            self._queue.put_nowait((request, tenant, expected_j, worst_j))
-        except asyncio.QueueFull:
+        if len(self._queue) >= self.queue_limit:
             return False
+        self._queue.append((request, tenant, expected_j, worst_j))
         self.offered += 1
         self._inflight_j += worst_j
         return True
-
-    async def enqueue_wait(self, request: TenantRequest, tenant: str,
-                           expected_j: float, worst_j: float) -> None:
-        """Blocking enqueue — the dispatcher absorbs the backpressure."""
-        assert self._queue is not None
-        await self._queue.put((request, tenant, expected_j, worst_j))
-        self.offered += 1
-        self._inflight_j += worst_j
-
-    async def stop(self) -> None:
-        assert self._queue is not None
-        await self._queue.put(_STOP)
 
     def crash(self, now: float, downtime_s: float) -> int:
         """Kill the replica at ``now``: shed the queue, drop the leases.
@@ -187,19 +165,10 @@ class FleetReplica:
         instead of leaking.  The replica restarts, lease-less, at
         ``now + downtime_s``.  Returns the number of shed requests.
         """
-        assert self._queue is not None
-        shed = 0
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is _STOP:
-                # Keep the shutdown signal: the worker must still exit.
-                self._queue.put_nowait(item)
-                break
-            shed += 1
+        shed = len(self._queue)
+        for item in self._queue:
             self._inflight_j -= item[3]
+        self._queue.clear()
         self.shed_crash += shed
         self.crashes += 1
         for shard in self.shards.values():
@@ -213,20 +182,15 @@ class FleetReplica:
         for shard in self.shards.values():
             shard.flush(now)
 
-    # -- the worker ---------------------------------------------------------
-    async def run(self) -> None:
-        """Drain the queue until the stop sentinel arrives."""
-        assert self._queue is not None
-        while True:
-            item = await self._queue.get()
-            if item is _STOP:
-                return
-            self._process(*item)
+    # -- draining ---------------------------------------------------------
+    def drain(self) -> None:
+        """Process every queued request, oldest first."""
+        while self._queue:
+            self._process(*self._queue.popleft())
 
     def _process(self, request: TenantRequest, tenant: str,
                  expected_j: float, worst_j: float) -> None:
         now = request.arrival_s
-        self._last_now = max(self._last_now, now)
         self._inflight_j -= worst_j
         if self.calibration_guard is not None:
             try:

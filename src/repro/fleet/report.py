@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.core.report import format_table
-from repro.serving.metrics import ServingReport
+from repro.serving.metrics import ServingReport, _fmt_opt
 
 __all__ = ["FleetReport", "format_fleet_report"]
 
@@ -92,13 +92,6 @@ class FleetReport:
     def digest(self) -> str:
         """sha256 over the canonical JSON: the bitwise-replay fingerprint."""
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-
-
-def _fmt_opt(value: float | None, suffix: str = "",
-             scale: float = 1.0) -> str:
-    if value is None:
-        return "n/a"
-    return f"{value * scale:.4g}{suffix}"
 
 
 def format_fleet_report(report: FleetReport,

@@ -1,9 +1,17 @@
 """End-to-end tests for the multi-replica gateway fleet."""
 
 import dataclasses
+import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
+from repro.calibration import DriftingCostModel, DriftProcess
 from repro.core.errors import BudgetError, ServingError
 from repro.core.policy import Policy
 from repro.faults import FaultPlan, FaultSpec
@@ -20,6 +28,8 @@ from repro.workloads import (
     poisson_arrivals,
     zipf_tenant_trace,
 )
+
+from . import asyncio_fleet_oracle
 
 BUDGETS = {"t0": "5J+2W", "t1": "3J+1W", "t2": "2J+0.5W"}
 
@@ -104,6 +114,155 @@ class TestServe:
         rebuilt = report.to_dict()
         assert rebuilt["offered"] == report.offered
         assert isinstance(report.to_json(), str)
+
+
+class _FailingCostModel(WorkCostModel):
+    """Work pricing whose meter raises on its fifth measurement."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def measure(self, request):
+        self.calls += 1
+        if self.calls == 5:
+            raise ServingError("meter failed on the fifth request")
+        return super().measure(request)
+
+
+class TestFailures:
+    def test_failing_replica_raises_instead_of_hanging(self):
+        # Tiny queues put the dispatcher into backpressure on the
+        # replica whose measurement failed; the error must surface.
+        fleet = EnergyGatewayFleet(BUDGETS, policy=Policy(replicas=2),
+                                   cost_model=_FailingCostModel(),
+                                   queue_limit=4)
+        with pytest.raises(ServingError, match="fifth request"):
+            fleet.serve(make_trace()[:40])
+
+    def test_queue_limit_must_be_positive(self):
+        for bad in (0, -1):
+            with pytest.raises(ServingError, match="queue_limit"):
+                EnergyGatewayFleet(BUDGETS, queue_limit=bad)
+
+    def test_crash_check_every_must_be_positive(self):
+        for bad in (0, -4):
+            with pytest.raises(ServingError, match="crash_check_every"):
+                EnergyGatewayFleet(BUDGETS, crash_check_every=bad)
+
+    def test_power_watts_must_be_finite_and_positive(self):
+        for bad in (0.0, -50.0, math.nan, math.inf):
+            with pytest.raises(ServingError, match="power_watts"):
+                EnergyGatewayFleet(BUDGETS, power_watts=bad)
+
+    def test_crash_downtime_must_be_finite_and_non_negative(self):
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ServingError, match="crash_downtime_s"):
+                EnergyGatewayFleet(BUDGETS, crash_downtime_s=bad)
+        EnergyGatewayFleet(BUDGETS, crash_downtime_s=0.0)
+
+
+#: Budgets tight enough that replicas contend for leases, so the order
+#: in which they drain moves the report.
+TIGHT_BUDGETS = {"t0": "0.3J+0.1W", "t1": "0.2J+0.05W", "t2": "0.1J+0.02W"}
+
+
+@st.composite
+def fleet_cases(draw):
+    """Keyword arguments for :func:`build_case`: fleet, trace and faults."""
+    return dict(
+        seed=draw(st.integers(1, 2 ** 16)),
+        rate=draw(st.sampled_from((50.0, 150.0, 400.0, 900.0))),
+        horizon=draw(st.sampled_from((1.0, 3.0))),
+        budgets=draw(st.sampled_from((BUDGETS, TIGHT_BUDGETS))),
+        replicas=draw(st.integers(1, 5)),
+        balancer=draw(st.sampled_from(("round-robin", "least-energy",
+                                       "power-of-two"))),
+        queue_limit=draw(st.sampled_from((1, 2, 3, 8, 256))),
+        crash_check_every=draw(st.sampled_from((1, 3, 16, 50, 100, 256))),
+        crash_downtime_s=draw(st.sampled_from((0.0, 0.01, 0.1, 1.0))),
+        p_crash=draw(st.sampled_from((0.0, 0.2, 0.5))),
+        p_lease=draw(st.sampled_from((0.0, 0.2, 0.6))),
+        lease_ttl_s=draw(st.sampled_from((0.25, 1.0, 5.0))),
+        calibration_action=draw(st.sampled_from((None, "widen", "reject"))),
+    )
+
+
+def build_case(seed, rate, horizon, budgets, replicas, balancer,
+               queue_limit, crash_check_every, crash_downtime_s, p_crash,
+               p_lease, lease_ttl_s, calibration_action):
+    """A fresh fleet (own fault plan and cost model) and its trace."""
+    guarded = calibration_action is not None
+    policy = Policy(replicas=replicas, balancer=balancer,
+                    lease_ttl_s=lease_ttl_s,
+                    calibration_tolerance=0.17 if guarded else None,
+                    calibration_action=calibration_action or "widen")
+    cost_model = DriftingCostModel(
+        WorkCostModel(),
+        DriftProcess("fleet:energy", entropy=seed, rate_per_s=0.1)
+    ) if guarded else None
+    fleet = EnergyGatewayFleet(budgets, policy=policy, cost_model=cost_model,
+                               entropy=seed, queue_limit=queue_limit,
+                               crash_check_every=crash_check_every,
+                               crash_downtime_s=crash_downtime_s)
+    specs = tuple(FaultSpec(site, p) for site, p in
+                  (("fleet.replica", p_crash), ("fleet.lease", p_lease)) if p)
+    if specs:
+        fleet.inject_faults(FaultPlan(specs, entropy=seed))
+    return fleet, make_trace(seed=seed, rate=rate, horizon=horizon)
+
+
+def replica_counters(replica):
+    return dict(
+        offered=replica.offered, admitted=replica.admitted,
+        rejected_budget=replica.rejected_budget,
+        calibration_stale=replica.calibration_stale,
+        calibration_rejected=replica.calibration_rejected,
+        shed_crash=replica.shed_crash, crashes=replica.crashes,
+        measured_j=replica.measured_j,
+        predicted_expected_j=replica.predicted_expected_j,
+        inflight_j=replica.inflight_j, free_at=replica._free_at,
+        queue_depth=replica.queue_depth,
+        latency=list(replica.latency._counts))
+
+
+class TestAgainstAsyncioOracle:
+    """The synchronous loop replays the asyncio pipeline bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fleet_cases())
+    def test_matches_oracle(self, case):
+        fleet, requests = build_case(**case)
+        twin, _ = build_case(**case)
+        report = fleet.serve(iter(requests), horizon_s=case["horizon"])
+        want = asyncio_fleet_oracle.serve(twin, iter(requests),
+                                          horizon_s=case["horizon"])
+        assert report.digest() == want.digest()
+        assert [replica_counters(r) for r in fleet.replicas] \
+            == [replica_counters(r) for r in twin.replicas]
+
+    def test_oracle_sees_backpressure_and_crashes(self):
+        # The property's space reaches the paths the drain order matters
+        # on: a full fleet, and a crash that empties a ready queue.
+        case = dict(seed=7, rate=900.0, horizon=3.0, budgets=TIGHT_BUDGETS,
+                    replicas=3, balancer="least-energy", queue_limit=2,
+                    crash_check_every=32, crash_downtime_s=0.05,
+                    p_crash=0.4, p_lease=0.2, lease_ttl_s=1.0,
+                    calibration_action="widen")
+        fleet, requests = build_case(**case)
+        twin, _ = build_case(**case)
+        report = fleet.serve(requests)
+        assert report.backpressure_waits > 0
+        assert report.shed_crash > 0
+        assert report.calibration_stale > 0
+        assert report == asyncio_fleet_oracle.serve(twin, requests)
+
+
+def test_fleet_imports_no_asyncio():
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = "import sys, repro.fleet; assert 'asyncio' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 class TestDeterminism:
